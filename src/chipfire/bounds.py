@@ -48,7 +48,11 @@ DEFAULT_ELL_CAP = 16
 
 def ell_cap() -> int:
     """Guard against astronomically large requests; CHIPFIRE_MAX_ELL overrides."""
-    return int(os.environ.get("CHIPFIRE_MAX_ELL", DEFAULT_ELL_CAP))
+    raw = os.environ.get("CHIPFIRE_MAX_ELL", str(DEFAULT_ELL_CAP))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"CHIPFIRE_MAX_ELL must be an integer, got {raw!r}") from None
 
 
 def factorial(n: int) -> int:
@@ -252,7 +256,11 @@ def sci(value: int, sig: int = 2) -> str:
         raise ValueError("sci expects a nonnegative integer")
     if value == 0:
         return "0.0e0"
-    exp = len(str(value)) - 1
+    # (bits - 1) * log10(2) floors to exp or exp - 1; str(value) would be
+    # quadratic, and Python >= 3.11 refuses it past 4,300 digits
+    exp = int((value.bit_length() - 1) * math.log10(2))
+    if value >= 10 ** (exp + 1):
+        exp += 1
     shift = exp - sig + 1
     if shift <= 0:
         mant = value * 10**-shift

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import bounds as bounds_mod
@@ -34,11 +35,10 @@ def _fail(message: str, code: int = EXIT_USAGE) -> int:
     return code
 
 
-def _config_obj(config: labeled.LabeledConfig) -> dict:
-    return {
-        "n_chips": config.n_chips,
-        "cells": [{"v": v, "chips": list(ls)} for v, ls in sorted(config.cells.items())],
-    }
+def _cannot_write(path: str) -> bool:
+    """Whether a file at `path` cannot be created or replaced."""
+    folder = os.path.dirname(os.path.abspath(path))
+    return os.path.isdir(path) or not os.access(folder, os.W_OK | os.X_OK)
 
 
 # ---------------------------------------------------------------------------
@@ -88,7 +88,7 @@ def cmd_play(args) -> int:
         "seed": args.seed,
         "total_fires": sum(fired.values()),
         "fired": [[v, k] for v, k in sorted(fired.items())],
-        "config": _config_obj(config),
+        "config": config.to_dict(),
     }
     print(_dump(out))
     return EXIT_OK
@@ -120,7 +120,22 @@ def _parse_ell_range(text: str) -> tuple[int, int]:
 
 
 def cmd_bounds(args) -> int:
-    cap = bounds_mod.ell_cap()
+    # exact values pass the int/str digit limit of Python >= 3.11 from ell = 11 on
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _bounds(args)
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def _bounds(args) -> int:
+    try:
+        cap = bounds_mod.ell_cap()
+    except ValueError as exc:
+        return _fail(str(exc))
     use_sci = args.sci or (args.table is not None and not args.exact)
 
     def fmt(value: int) -> str:
@@ -207,6 +222,10 @@ def cmd_bounds(args) -> int:
 def cmd_enumerate(args) -> int:
     if args.ell < 1:
         return _fail("--ell must be >= 1")
+    if args.out and _cannot_write(args.out):
+        return _fail(f"cannot write --out {args.out}")
+    if args.checkpoint and _cannot_write(args.checkpoint):
+        return _fail(f"cannot write --checkpoint {args.checkpoint}", EXIT_CHECKPOINT)
     try:
         result = enumeration.enumerate_stable(
             args.ell,
@@ -226,8 +245,13 @@ def cmd_enumerate(args) -> int:
         return EXIT_PAUSED
     except ValueError as exc:
         return _fail(str(exc))
+    except OSError as exc:  # writing a checkpoint failed
+        return _fail(f"cannot write checkpoint: {exc}", EXIT_CHECKPOINT)
     if args.out:
-        enumeration.save(result, args.out)
+        try:
+            enumeration.save(result, args.out)
+        except OSError as exc:
+            return _fail(f"cannot write {args.out}: {exc}")
     if args.json:
         print(
             _dump(
@@ -254,8 +278,6 @@ def cmd_enumerate(args) -> int:
 def cmd_extract_orders(args) -> int:
     try:
         stable_set = enumeration.load(args.input)
-    except OSError as exc:
-        return _fail(f"cannot read {args.input}: {exc}")
     except enumeration.CorpusError as exc:
         return _fail(str(exc))
     try:
@@ -283,8 +305,6 @@ def cmd_extract_orders(args) -> int:
 def cmd_check(args) -> int:
     try:
         stable_set = enumeration.load(args.input)
-    except OSError as exc:
-        return _fail(f"cannot read {args.input}: {exc}")
     except enumeration.CorpusError as exc:
         return _fail(str(exc))
     ell = stable_set.ell

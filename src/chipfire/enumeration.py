@@ -19,10 +19,14 @@ only.  Scheduled mode agrees with full mode for up to 3 layers (6 of 6
 stable configurations) but is incomplete beyond that: at 4 layers it
 reaches 20,006 of the 36,220 stable configurations, so it is a cheap
 lower-bound probe, not a substitute for the full search.
+
+Corpora and checkpoints share one record format: a JSON header line
+carrying the sha256 of the body, then one sorted record per line.
 """
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import itertools
 import json
@@ -31,6 +35,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import Collection, Iterable
 
 from . import unlabeled
 from .labeled import LabeledConfig
@@ -40,7 +45,6 @@ __all__ = [
     "CorpusError",
     "EnumerationPaused",
     "enumerate_stable",
-    "count",
     "extract_subtree_orders",
     "save",
     "load",
@@ -56,6 +60,9 @@ MODES = ("full", "scheduled")
 
 # engage worker processes only when a level is big enough to amortize them
 _PARALLEL_THRESHOLD = 4096
+
+# body lines encoded per write; bounds the memory a large checkpoint needs
+_CHUNK_LINES = 1 << 16
 
 
 class CorpusError(ValueError):
@@ -92,31 +99,8 @@ class StableSet:
         return [c.canonical_json() for c in self.configs]
 
 
-def count(stable_set: StableSet) -> int:
-    return stable_set.count
-
-
 # ---------------------------------------------------------------------------
-# state encoding
-
-
-def _initial_state(n_chips: int) -> bytes:
-    return bytes([1]) * n_chips
-
-
-def _state_to_config(state: bytes, n_chips: int) -> LabeledConfig:
-    cells: dict[int, list[int]] = {}
-    for idx, v in enumerate(state):
-        cells.setdefault(v, []).append(idx + 1)
-    return LabeledConfig(n_chips=n_chips, cells={v: cells[v] for v in sorted(cells)})
-
-
-def _config_to_state(config: LabeledConfig) -> bytes:
-    pos = bytearray(config.n_chips)
-    for v, labels in config.cells.items():
-        for lab in labels:
-            pos[lab - 1] = v
-    return bytes(pos)
+# states
 
 
 def _cells_of(state: bytes) -> dict[int, list[int]]:
@@ -126,60 +110,52 @@ def _cells_of(state: bytes) -> dict[int, list[int]]:
     return cells
 
 
-def _successors(state: bytes, mode: str) -> list[bytes]:
-    cells = _cells_of(state)
-    fireable = [v for v, labels in cells.items() if len(labels) >= 3]
-    if not fireable:
-        return []
-    if mode == "scheduled":
-        fireable = [min(fireable)]
-    out: list[bytes] = []
-    for v in fireable:
-        left, right = 2 * v, 2 * v + 1
-        up = v >> 1 if v > 1 else 1
-        for a, b, c in itertools.combinations(cells[v], 3):
-            nxt = bytearray(state)
-            nxt[a - 1] = left
-            nxt[b - 1] = up
-            nxt[c - 1] = right
-            out.append(bytes(nxt))
-    return out
+def _fire_vector(state: bytes) -> list[int] | None:
+    """How often each vertex has fired to reach `state`, read off its shadow.
+
+    The game is abelian and chips never pass layer ell, so a bottom vertex
+    w holds f(parent w) chips, and going up the tree
+    f(parent v) = chips(v) - f(2v) - f(2v + 1) + 3 f(v).  Returns the list
+    indexed by vertex (entry 0 unused), or None when two siblings disagree
+    on their parent, so that no reachable state has this shadow.  Vertices
+    must lie in 1..2^ell - 1.  Then the root equation
+    chips(1) = N - 2 f(1) + f(2) + f(3) follows from the others, as the
+    chips sum to N, and f never decreases going up, so f >= 0.
+    """
+    size = len(state) + 1  # 2^ell
+    chips = [0] * size
+    for v in state:
+        chips[v] += 1
+    fires = [0] * (2 * size)  # the bottom layer never fires
+    for v in range(size - 1, 1, -1):
+        up = chips[v] - fires[2 * v] - fires[2 * v + 1] + 3 * fires[v]
+        if v & 1:
+            fires[v >> 1] = up
+        elif up != fires[v >> 1]:
+            return None
+    return fires[:size]
 
 
-def _expand_batch(args: tuple[list[bytes], str]) -> tuple[set[bytes], list[bytes], int]:
-    states, mode = args
+def _expand_batch(
+    args: tuple[Collection[bytes], str, int, list[int] | None],
+) -> tuple[set[bytes], list[bytes], int]:
+    """Expand states that all sit at `depth`: their successors, and the stable ones.
+
+    With `budgets` (per-vertex fire budgets), every state's fire vector
+    must first account for exactly `depth` fires, none over budget.
+    """
+    states, mode, depth, budgets = args
+    if budgets is not None:
+        for state in states:
+            fires = _fire_vector(state)
+            if fires is None or sum(fires) != depth or any(map(int.__gt__, fires, budgets)):
+                raise AssertionError(
+                    f"state {state.hex()} at depth {depth} has fire vector {fires}, "
+                    f"budgets {budgets}"
+                )
     successors: set[bytes] = set()
     stable: list[bytes] = []
     for state in states:
-        here = _successors(state, mode)
-        if here:
-            successors.update(here)
-        else:
-            stable.append(state)
-    return successors, stable, len(states)
-
-
-# ---------------------------------------------------------------------------
-# search
-
-
-def _fire_budgets(ell: int) -> dict[int, int]:
-    per_layer = unlabeled.fires_per_layer(2**ell - 1)
-    return {v: per_layer[v.bit_length() - 1] for v in range(1, 2**ell)}
-
-
-def _expand_with_tallies(
-    frontier: dict[bytes, bytes], mode: str, budgets: dict[int, int]
-) -> tuple[dict[bytes, bytes], list[bytes]]:
-    """Slow expansion that carries per-vertex fire tallies along each path.
-
-    Asserts that no vertex ever exceeds its per-layer budget and that
-    paths merging on a state agree on its tally, i.e. the tally really is
-    a function of the state.
-    """
-    nxt: dict[bytes, bytes] = {}
-    stable: list[bytes] = []
-    for state, tally in frontier.items():
         cells = _cells_of(state)
         fireable = [v for v, labels in cells.items() if len(labels) >= 3]
         if not fireable:
@@ -188,25 +164,19 @@ def _expand_with_tallies(
         if mode == "scheduled":
             fireable = [min(fireable)]
         for v in fireable:
-            new_tally = bytearray(tally)
-            new_tally[v - 1] += 1
-            if new_tally[v - 1] > budgets[v]:
-                raise AssertionError(
-                    f"vertex {v} fired {new_tally[v - 1]} times, over its budget {budgets[v]}"
-                )
             left, right = 2 * v, 2 * v + 1
             up = v >> 1 if v > 1 else 1
-            frozen = bytes(new_tally)
             for a, b, c in itertools.combinations(cells[v], 3):
-                succ = bytearray(state)
-                succ[a - 1] = left
-                succ[b - 1] = up
-                succ[c - 1] = right
-                succ = bytes(succ)
-                prev = nxt.setdefault(succ, frozen)
-                if prev != frozen:
-                    raise AssertionError("two paths reached one state with different tallies")
-    return nxt, stable
+                nxt = bytearray(state)
+                nxt[a - 1] = left
+                nxt[b - 1] = up
+                nxt[c - 1] = right
+                successors.add(bytes(nxt))
+    return successors, stable, len(states)
+
+
+# ---------------------------------------------------------------------------
+# search
 
 
 def enumerate_stable(
@@ -226,9 +196,10 @@ def enumerate_stable(
 
     Raises EnumerationPaused (after writing a checkpoint when a path was
     given) if `max_seconds` or `max_frontier` is exceeded; pass the
-    checkpoint to `resume_path` to continue.  `check_budgets` turns on the
-    tally-carrying expansion (defaults to True for ell <= 3, where it is
-    cheap).
+    checkpoint to `resume_path` to continue.  `check_budgets` checks the
+    fire vector of every expanded state, in workers and after a resume
+    too (defaults to True for ell <= 3, where it is cheap).  A resumed
+    frontier that breaks an invariant of the search raises CorpusError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -241,19 +212,15 @@ def enumerate_stable(
 
     n_chips = 2**ell - 1
     target_depth = unlabeled.total_fires(n_chips)
-    budgets = _fire_budgets(ell) if check_budgets else {}
+    per_layer = unlabeled.fires_per_layer(n_chips)
+    budgets = [0] + [per_layer[v.bit_length() - 1] for v in range(1, n_chips + 1)]
+    if not check_budgets:
+        budgets = None
 
     if resume_path is not None:
         depth, frontier, explored, max_seen = read_checkpoint(resume_path, ell, mode)
     else:
-        depth, frontier, explored, max_seen = 0, {_initial_state(n_chips)}, 0, 1
-
-    tallies: dict[bytes, bytes] | None = None
-    if check_budgets:
-        if resume_path is not None:
-            check_budgets = False  # tallies are not persisted across checkpoints
-        else:
-            tallies = {_initial_state(n_chips): bytes(n_chips)}
+        depth, frontier, explored, max_seen = 0, {bytes([1]) * n_chips}, 0, 1
 
     stable_states: list[bytes] = []
     started = time.monotonic()
@@ -261,11 +228,9 @@ def enumerate_stable(
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def pause(reason: str) -> EnumerationPaused:
-        path = None
         if checkpoint_path is not None:
             write_checkpoint(checkpoint_path, ell, mode, depth, frontier, explored, max_seen)
-            path = checkpoint_path
-        return EnumerationPaused(reason, path, depth, len(frontier))
+        return EnumerationPaused(reason, checkpoint_path, depth, len(frontier))
 
     try:
         while frontier:
@@ -287,25 +252,23 @@ def enumerate_stable(
                     flush=True,
                 )
 
-            if tallies is not None:
-                nxt_tallies, stable = _expand_with_tallies(tallies, mode, budgets)
-                next_frontier = set(nxt_tallies)
-                explored += len(tallies)
-                tallies = nxt_tallies
-            else:
+            if pool is not None and len(frontier) >= parallel_threshold:
                 work = list(frontier)
-                next_frontier = set()
-                stable = []
-                if pool is not None and len(work) >= parallel_threshold:
-                    chunk = max(1, len(work) // (workers * 8))
-                    batches = [(work[i : i + chunk], mode) for i in range(0, len(work), chunk)]
-                    for succ, stab, done in pool.map(_expand_batch, batches):
-                        next_frontier |= succ
-                        stable += stab
-                        explored += done
-                else:
-                    next_frontier, stable, done = _expand_batch((work, mode))
-                    explored += done
+                chunk = max(1, len(work) // (workers * 8))
+                batches = [
+                    (work[i : i + chunk], mode, depth, budgets) for i in range(0, len(work), chunk)
+                ]
+                results = pool.map(_expand_batch, batches)
+            else:
+                results = [_expand_batch((frontier, mode, depth, budgets))]
+            next_frontier, stable = set(), []
+            for succ, stab, done in results:
+                # union into the larger set, so one process's level is never copied
+                if len(succ) > len(next_frontier):
+                    next_frontier, succ = succ, next_frontier
+                next_frontier |= succ
+                stable += stab
+                explored += done
 
             if stable:
                 assert depth == target_depth, (
@@ -320,11 +283,15 @@ def enumerate_stable(
             depth += 1
     except MemoryError:
         raise pause("out of memory") from None
+    except AssertionError as exc:
+        if resume_path is None:
+            raise
+        raise CorpusError(f"{resume_path}: resumed frontier is not reachable: {exc}") from exc
     finally:
         if pool is not None:
             pool.shutdown()
 
-    configs = [_state_to_config(s, n_chips) for s in stable_states]
+    configs = [LabeledConfig(n_chips, dict(sorted(_cells_of(s).items()))) for s in stable_states]
     configs.sort(key=LabeledConfig.canonical_json)
     return StableSet(
         ell=ell,
@@ -358,62 +325,81 @@ def extract_subtree_orders(stable_set: StableSet, depth: int) -> set[str]:
 # persistence
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _write_records(path: str, fmt: str, fields: dict, lines: Iterable[str]) -> None:
+    """Atomically write a header (with the body's sha256), then the sorted `lines`."""
+    lines, chunks, digest = iter(lines), [], hashlib.sha256()
+    while batch := list(itertools.islice(lines, _CHUNK_LINES)):
+        chunks.append(("\n".join(batch) + "\n").encode())
+        digest.update(chunks[-1])
+    header = {"format": fmt, "version": FORMAT_VERSION, **fields, "sha256": digest.hexdigest()}
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    with open(tmp, "wb") as handle:
+        handle.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+        handle.writelines(chunks)
     os.replace(tmp, path)
 
 
-def save(stable_set: StableSet, path: str) -> None:
-    """Write a stable set as a JSON-lines corpus: header, then one config per line."""
-    body_lines = sorted(c.canonical_json() for c in stable_set.configs)
-    body = "".join(line + "\n" for line in body_lines)
-    header = {
-        "format": CORPUS_FORMAT,
-        "version": FORMAT_VERSION,
-        "ell": stable_set.ell,
-        "count": len(body_lines),
-        "mode": stable_set.meta.get("mode", "full"),
-        "explored_states": stable_set.meta.get("explored_states", 0),
-        "max_frontier": stable_set.meta.get("max_frontier", 0),
-        "sha256": hashlib.sha256(body.encode()).hexdigest(),
-    }
-    _atomic_write(path, json.dumps(header, separators=(",", ":")) + "\n" + body)
+def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **expected):
+    """Read a file written by _write_records: its header and its body lines, parsed.
 
-
-def load(path: str) -> StableSet:
-    """Read a corpus written by save(), validating structure, count, and checksum."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise CorpusError(f"{path}: empty file")
+    Checks format, version, the `expected` header values, the integer
+    fields, the line count and the checksum.  Every failure, an unreadable
+    file included, raises CorpusError naming the line where there is one.
+    """
     try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
+        with open(path, "rb") as handle:
+            head, body = handle.readline(), handle.read()
+    except OSError as exc:
+        raise CorpusError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    try:
+        header = json.loads(head)
+    except ValueError as exc:
         raise CorpusError(f"{path}: line 1: header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
-        raise CorpusError(f"{path}: line 1: not a {CORPUS_FORMAT} file")
+    if not isinstance(header, dict) or header.get("format") != fmt:
+        raise CorpusError(f"{path}: line 1: not a {fmt} file")
     if header.get("version") != FORMAT_VERSION:
         raise CorpusError(
             f"{path}: version mismatch: file has {header.get('version')}, "
             f"supported is {FORMAT_VERSION}"
         )
-    body_lines = lines[1:]
-    if len(body_lines) != header.get("count"):
+    for key, value in expected.items():
+        if header.get(key) != value:
+            raise CorpusError(f"{path}: file has {key}={header.get(key)}, requested {key}={value}")
+    for key in (count_key, *int_keys):
+        if type(header.get(key)) is not int:
+            raise CorpusError(f"{path}: line 1: header needs an integer {key!r}")
+    lines = body.splitlines()
+    if len(lines) != header[count_key]:
         raise CorpusError(
-            f"{path}: header count {header.get('count')} != body line count {len(body_lines)}"
+            f"{path}: header {count_key} {header[count_key]} != body line count {len(lines)}"
         )
-    body = "".join(line + "\n" for line in body_lines)
-    digest = hashlib.sha256(body.encode()).hexdigest()
-    if digest != header.get("sha256"):
+    if hashlib.sha256(body).hexdigest() != header.get("sha256"):
         raise CorpusError(f"{path}: checksum mismatch")
-    configs = []
-    for i, line in enumerate(body_lines, start=2):
+    records = []
+    for i, line in enumerate(lines, start=2):
         try:
-            configs.append(LabeledConfig.from_json(line))
+            records.append(parse(line))
         except (ValueError, KeyError, TypeError) as exc:
-            raise CorpusError(f"{path}: line {i}: bad configuration: {exc}") from exc
+            raise CorpusError(f"{path}: line {i}: bad record: {exc}") from exc
+    return header, records
+
+
+def save(stable_set: StableSet, path: str) -> None:
+    """Write a stable set as a JSON-lines corpus: header, then one config per line."""
+    lines = sorted(c.canonical_json() for c in stable_set.configs)
+    fields = {
+        "ell": stable_set.ell,
+        "count": len(lines),
+        "mode": stable_set.meta.get("mode", "full"),
+        "explored_states": stable_set.meta.get("explored_states", 0),
+        "max_frontier": stable_set.meta.get("max_frontier", 0),
+    }
+    _write_records(path, CORPUS_FORMAT, fields, lines)
+
+
+def load(path: str) -> StableSet:
+    """Read a corpus written by save(), validating structure, count, and checksum."""
+    header, configs = _read_records(path, CORPUS_FORMAT, LabeledConfig.from_json, "count", "ell")
     return StableSet(
         ell=header["ell"],
         configs=configs,
@@ -434,65 +420,36 @@ def write_checkpoint(
     explored: int,
     max_seen: int,
 ) -> None:
-    body_lines = sorted(state.hex() for state in frontier)
-    body = "".join(line + "\n" for line in body_lines)
-    header = {
-        "format": CHECKPOINT_FORMAT,
-        "version": FORMAT_VERSION,
+    fields = {
         "ell": ell,
         "mode": mode,
         "depth": depth,
-        "frontier_count": len(body_lines),
+        "frontier_count": len(frontier),
         "explored_states": explored,
         "max_frontier": max_seen,
-        "sha256": hashlib.sha256(body.encode()).hexdigest(),
     }
-    _atomic_write(path, json.dumps(header, separators=(",", ":")) + "\n" + body)
+    # states have one length, so their byte order is the order of their hex
+    _write_records(path, CHECKPOINT_FORMAT, fields, map(bytes.hex, sorted(frontier)))
 
 
 def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, set[bytes], int, int]:
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
-        raise CorpusError(f"{path}: empty checkpoint")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise CorpusError(f"{path}: line 1: header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or header.get("format") != CHECKPOINT_FORMAT:
-        raise CorpusError(f"{path}: line 1: not a {CHECKPOINT_FORMAT} file")
-    if header.get("version") != FORMAT_VERSION:
-        raise CorpusError(
-            f"{path}: version mismatch: file has {header.get('version')}, "
-            f"supported is {FORMAT_VERSION}"
-        )
-    if header.get("ell") != ell or header.get("mode") != mode:
-        raise CorpusError(
-            f"{path}: checkpoint is for ell={header.get('ell')} mode={header.get('mode')}, "
-            f"requested ell={ell} mode={mode}"
-        )
-    body_lines = lines[1:]
-    if len(body_lines) != header.get("frontier_count"):
-        raise CorpusError(
-            f"{path}: header frontier_count {header.get('frontier_count')} != "
-            f"body line count {len(body_lines)}"
-        )
-    body = "".join(line + "\n" for line in body_lines)
-    if hashlib.sha256(body.encode()).hexdigest() != header.get("sha256"):
-        raise CorpusError(f"{path}: checksum mismatch")
     n_chips = 2**ell - 1
-    frontier = set()
-    for i, line in enumerate(body_lines, start=2):
-        try:
-            state = bytes.fromhex(line)
-        except ValueError as exc:
-            raise CorpusError(f"{path}: line {i}: bad state encoding") from exc
-        if len(state) != n_chips:
-            raise CorpusError(f"{path}: line {i}: state length {len(state)} != {n_chips}")
-        frontier.add(state)
+    vertices = bytes(range(1, n_chips + 1))
+
+    def parse(line: bytes) -> bytes:
+        state = binascii.unhexlify(line)
+        if len(state) != n_chips or state.translate(None, vertices):
+            raise ValueError(f"not a state of {n_chips} chips on vertices 1..{n_chips}")
+        return state
+
+    header, states = _read_records(
+        path, CHECKPOINT_FORMAT, parse, "frontier_count", "depth", ell=ell, mode=mode
+    )
+    if not states:
+        raise CorpusError(f"{path}: checkpoint frontier is empty")
     return (
         header["depth"],
-        frontier,
+        set(states),
         header.get("explored_states", 0),
-        header.get("max_frontier", len(frontier)),
+        header.get("max_frontier", len(states)),
     )

@@ -65,18 +65,21 @@ class LabeledConfig:
             raise ValueError(f"vertex {v} holds {len(labels)} chips, expected 1")
         return labels[0]
 
-    def canonical_json(self) -> str:
-        """Byte-exact serialization used as the deduplication key."""
-        obj = {
+    def to_dict(self) -> dict:
+        """The JSON object form: cells as a list sorted by vertex."""
+        return {
             "n_chips": self.n_chips,
             "cells": [
                 {"v": v, "chips": list(labels)} for v, labels in sorted(self.cells.items())
             ],
         }
-        return json.dumps(obj, separators=(",", ":"))
+
+    def canonical_json(self) -> str:
+        """Byte-exact serialization used as the deduplication key."""
+        return json.dumps(self.to_dict(), separators=(",", ":"))
 
     @classmethod
-    def from_json(cls, text: str) -> "LabeledConfig":
+    def from_json(cls, text: str | bytes) -> "LabeledConfig":
         obj = json.loads(text)
         cfg = cls(
             n_chips=obj["n_chips"],

@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 
@@ -211,6 +212,20 @@ class TestSci:
     )
     def test_rendering(self, value, expected):
         assert bounds.sci(value) == expected
+
+    def test_rendering_past_the_digit_limit(self):
+        # Python >= 3.11 refuses str() of ints over 4,300 digits
+        assert bounds.sci(10**5000 - 1) == "1.0e5000"
+        assert bounds.sci(10**5000) == "1.0e5000"
+        assert bounds.sci(10**5000 + 5 * 10**4998) == "1.0e5000"
+        assert bounds.sci(10**5000 + 5 * 10**4998 + 1) == "1.1e5000"
+
+    def test_matches_decimal_half_even_at_eleven_layers(self):
+        row = bounds.compare_table([11])[0]
+        context = decimal.Context(prec=2, rounding=decimal.ROUND_HALF_EVEN)
+        for value in (row.naive_t, row.naive_z, row.zigzag_t, row.zigzag_z, row.ballot_z):
+            _, digits, exponent = context.create_decimal(value).as_tuple()
+            assert bounds.sci(value) == f"{digits[0]}.{digits[1]}e{exponent + 1}"
 
     def test_matches_float_reference_on_moderate_values(self):
         for value in range(1, 100000, 37):

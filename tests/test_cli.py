@@ -1,9 +1,11 @@
+import decimal
 import hashlib
 import json
+import sys
 
 import pytest
 
-from chipfire import enumeration
+from chipfire import bounds, enumeration
 from chipfire.cli import main
 
 
@@ -154,6 +156,41 @@ class TestBounds:
         code, _ = run_cli(capsys, "bounds")
         assert code == 2
 
+    def test_non_integer_env_cap_is_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CHIPFIRE_MAX_ELL", "abc")
+        assert main(["bounds", "--ell", "4"]) == 2
+        assert "CHIPFIRE_MAX_ELL must be an integer" in capsys.readouterr().err
+
+
+class TestBoundsPastTheDigitLimit:
+    """From ell = 11 on, values pass the 4,300-digit int/str limit of Python >= 3.11."""
+
+    @pytest.fixture(scope="class")
+    def row11(self):
+        return bounds.compare_table([11])[0]
+
+    def test_table(self, capsys, row11):
+        code, out = run_cli(capsys, "bounds", "--table", "4..11")
+        assert code == 0
+        cells = [row11.naive_z, row11.zigzag_z, row11.ballot_z]
+        assert out.splitlines()[-1].split() == ["11", *map(bounds.sci, cells)]
+
+    def test_exact_csv_and_single_ell(self, capsys, row11):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, out = run_cli(capsys, "bounds", "--table", "11..11", "--exact", "--csv")
+        assert code == 0
+        cells = out.splitlines()[1].split(",")
+        assert cells[0] == "11"
+        assert [decimal.Decimal(c) for c in cells[1:]] == [
+            decimal.Decimal(v) for v in (row11.naive_z, row11.zigzag_z, row11.ballot_z)
+        ]
+        code, out = run_cli(capsys, "bounds", "--ell", "11", "--method", "naive")
+        assert code == 0
+        _, z = out.split()[1:]
+        assert decimal.Decimal(z[2:]) == decimal.Decimal(row11.naive_z)
+        if limit is not None:  # the lifted limit is restored
+            assert sys.get_int_max_str_digits() == limit
+
 
 class TestEnumerateAndCorpus:
     def test_enumerate_prints_count(self, capsys):
@@ -252,11 +289,94 @@ class TestEnumerateAndCorpus:
         code, _ = run_cli(capsys, "enumerate", "--ell", "3", "--resume", ckpt)
         assert code == 3
 
+    def test_missing_resume_file_is_checkpoint_error(self, capsys, tmp_path):
+        code, _ = run_cli(capsys, "enumerate", "--ell", "3", "--resume", str(tmp_path / "none"))
+        assert code == 3
+
+    def test_unwritable_checkpoint_is_checkpoint_error(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "missing-dir" / "z3.ckpt")
+        code, _ = run_cli(
+            capsys, "enumerate", "--ell", "3", "--max-frontier", "5", "--checkpoint", ckpt
+        )
+        assert code == 3
+
+    def test_failed_checkpoint_write_is_checkpoint_error(self, capsys, tmp_path, monkeypatch):
+        def fail(*args):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(enumeration, "write_checkpoint", fail)
+        ckpt = str(tmp_path / "z3.ckpt")
+        code, _ = run_cli(
+            capsys, "enumerate", "--ell", "3", "--max-frontier", "5", "--checkpoint", ckpt
+        )
+        assert code == 3
+
+    @pytest.mark.parametrize("where", ["missing-dir/z3.jsonl", "."])
+    def test_unwritable_out_is_refused_before_the_search(
+        self, capsys, tmp_path, monkeypatch, where
+    ):
+        def search(*args, **kwargs):
+            raise AssertionError("the search must not start")
+
+        monkeypatch.setattr(enumeration, "enumerate_stable", search)
+        code, _ = run_cli(capsys, "enumerate", "--ell", "3", "--out", str(tmp_path / where))
+        assert code == 2
+
     def test_enumerate_json_summary(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--ell", "2", "--json")
         assert code == 0
         payload = json.loads(out)
         assert payload["count"] == 1 and payload["mode"] == "full"
+
+
+def _paused_checkpoint(path):
+    with pytest.raises(enumeration.EnumerationPaused):
+        enumeration.enumerate_stable(3, max_frontier=5, checkpoint_path=path)
+
+
+def _forge_header_without_depth(path):
+    _paused_checkpoint(path)
+    head, body = open(path, "rb").read().split(b"\n", 1)
+    header = json.loads(head)
+    del header["depth"]
+    open(path, "wb").write(json.dumps(header).encode() + b"\n" + body)
+
+
+def _forge_non_utf8(path):
+    open(path, "wb").write(b"\xff\xfe\x00not a checkpoint\n")
+
+
+def _forge_empty_frontier(path):
+    enumeration.write_checkpoint(path, 3, "full", 2, set(), 3, 15)
+
+
+def _forge_all_chips_on_vertex_7(path):
+    enumeration.write_checkpoint(path, 3, "full", 4, {bytes([7] * 7)}, 10, 15)
+
+
+def _forge_depth_shifted_by_two(path):
+    _paused_checkpoint(path)
+    depth, frontier, explored, max_seen = enumeration.read_checkpoint(path, 3, "full")
+    enumeration.write_checkpoint(path, 3, "full", depth + 2, frontier, explored, max_seen)
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [
+        _forge_header_without_depth,
+        _forge_non_utf8,
+        _forge_empty_frontier,
+        _forge_all_chips_on_vertex_7,
+        _forge_depth_shifted_by_two,
+    ],
+)
+def test_malformed_checkpoint_is_checkpoint_error(capsys, tmp_path, forge):
+    ckpt = str(tmp_path / "z3.ckpt")
+    forge(ckpt)
+    assert main(["enumerate", "--ell", "3", "--resume", ckpt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 class TestByteReproducibility:

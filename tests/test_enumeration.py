@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from chipfire import checks, enumeration, unlabeled
+from chipfire import checks, enumeration, labeled, unlabeled
 from conftest import single_chip_config
 
 
@@ -24,6 +24,44 @@ def seven_chip_placements_by_constraints():
             if placement[5] > placement[2] and placement[6] < placement[3]:
                 out.append(placement)
     return out
+
+
+def state_of(config):
+    """The search's byte encoding of a configuration: byte i is chip i + 1's vertex."""
+    state = bytearray(config.n_chips)
+    for v, labels in config.cells.items():
+        for label in labels:
+            state[label - 1] = v
+    return bytes(state)
+
+
+def tallied_bfs(n_chips):
+    """Independent oracle: every reachable configuration with the fire tally of its paths.
+
+    Plays every (vertex, triple) choice with labeled.fire and carries the
+    per-vertex tally along each path; paths that merge must agree on it.
+    """
+    start = labeled.initial_config(n_chips)
+    seen = {start.canonical_json(): (start, {})}
+    frontier = [start.canonical_json()]
+    while frontier:
+        nxt = []
+        for key in frontier:
+            config, tally = seen[key]
+            for v, labels in config.cells.items():
+                if len(labels) < 3:
+                    continue
+                fired = {**tally, v: tally.get(v, 0) + 1}
+                for triple in itertools.combinations(labels, 3):
+                    child = labeled.fire(config, v, triple)
+                    child_key = child.canonical_json()
+                    if child_key in seen:
+                        assert seen[child_key][1] == fired
+                    else:
+                        seen[child_key] = (child, fired)
+                        nxt.append(child_key)
+        frontier = nxt
+    return list(seen.values())
 
 
 class TestGroundTruth:
@@ -67,12 +105,44 @@ class TestDeterminismAndModes:
         assert checked.canonical_keys() == stable3.canonical_keys()
 
     def test_worker_count_does_not_change_results(self, stable3):
-        # a threshold of 1 forces every level through the process pool
-        parallel = enumeration.enumerate_stable(
-            3, workers=2, check_budgets=False, parallel_threshold=1
-        )
+        # a threshold of 1 forces every level, and the budget check, through the process pool
+        parallel = enumeration.enumerate_stable(3, workers=2, parallel_threshold=1)
         assert parallel.canonical_keys() == stable3.canonical_keys()
         assert parallel.meta == stable3.meta
+
+
+class TestFireVector:
+    def test_matches_tallies_of_an_independent_search(self, stable3):
+        reached = tallied_bfs(7)
+        assert len(reached) == 90
+        for config, tally in reached:
+            fires = enumeration._fire_vector(state_of(config))
+            assert fires == [0] + [tally.get(v, 0) for v in range(1, 8)]
+        stable = sorted(c.canonical_json() for c, _ in reached if c.is_stable())
+        assert stable == stable3.canonical_keys()
+
+    def test_rejects_siblings_that_disagree(self):
+        # all chips on vertex 7 say f(3) = 7, the empty vertex 6 says f(3) = 0
+        assert enumeration._fire_vector(bytes([7] * 7)) is None
+
+    def test_sibling_agreement_implies_the_root_equation_and_signs(self):
+        accepted = 0
+        for shadow in itertools.combinations_with_replacement(range(1, 8), 7):
+            fires = enumeration._fire_vector(bytes(shadow))
+            if fires is None:
+                continue
+            accepted += 1
+            assert shadow.count(1) == 7 - 2 * fires[1] + fires[2] + fires[3]
+            assert min(fires) >= 0
+        assert accepted >= 8  # the 7-chip game passes through 8 shadows
+
+    def test_budget_check(self):
+        fired_root_once = bytes([2, 1, 3, 1, 1, 1, 1])
+        enumeration._expand_batch(([fired_root_once], "full", 1, [0, 1] + [0] * 6))
+        with pytest.raises(AssertionError, match="depth 1"):
+            enumeration._expand_batch(([fired_root_once], "full", 1, [0] * 8))
+        with pytest.raises(AssertionError, match="depth 3"):
+            enumeration._expand_batch(([fired_root_once], "full", 3, [9] * 8))
 
 
 class TestSubtreeOrders:
@@ -185,11 +255,51 @@ class TestCheckpointing:
         with pytest.raises(enumeration.CorpusError, match="version"):
             enumeration.enumerate_stable(3, resume_path=ckpt)
 
+    @pytest.mark.parametrize(
+        "line", [bytes(7).hex(), bytes([8] + [1] * 6).hex(), "01" * 6, "01" * 6 + "0g"]
+    )
+    def test_bad_state_lines_are_reported_by_number(self, tmp_path, line):
+        ckpt = str(tmp_path / "z3.ckpt")
+        fields = {"ell": 3, "mode": "full", "depth": 0, "frontier_count": 2}
+        enumeration._write_records(ckpt, enumeration.CHECKPOINT_FORMAT, fields, ["01" * 7, line])
+        with pytest.raises(enumeration.CorpusError, match="line 3"):
+            enumeration.read_checkpoint(ckpt, 3, "full")
+
+    @pytest.mark.parametrize("mode", enumeration.MODES)
+    def test_kill_at_every_depth(self, mode, tmp_path, monkeypatch):
+        copies = []
+        write = enumeration.write_checkpoint
+
+        def write_and_copy(path, *args):
+            write(path, *args)
+            copies.append(open(path, "rb").read())
+
+        monkeypatch.setattr(enumeration, "write_checkpoint", write_and_copy)
+        whole = enumeration.enumerate_stable(
+            3, mode=mode, checkpoint_path=str(tmp_path / "z3.ckpt"), checkpoint_every=0
+        )
+        monkeypatch.undo()
+        expected = tmp_path / "whole.jsonl"
+        enumeration.save(whole, str(expected))
+        depths = [json.loads(c.split(b"\n")[0])["depth"] for c in copies]
+        assert depths == list(range(unlabeled.total_fires(7) + 1))
+
+        for depth, copy in enumerate(copies):
+            ckpt, rewritten, corpus = (tmp_path / f"{depth}.{x}" for x in ("ckpt", "re", "jsonl"))
+            ckpt.write_bytes(copy)
+            enumeration.write_checkpoint(
+                str(rewritten), 3, mode, *enumeration.read_checkpoint(str(ckpt), 3, mode)
+            )
+            assert rewritten.read_bytes() == copy
+            resumed = enumeration.enumerate_stable(3, mode=mode, resume_path=str(ckpt))
+            enumeration.save(resumed, str(corpus))
+            assert corpus.read_bytes() == expected.read_bytes()
+
 
 @pytest.mark.long
 @pytest.mark.skipif(
     os.environ.get("CHIPFIRE_RUN_LONG") != "1",
-    reason="full 4-layer enumeration takes hours; set CHIPFIRE_RUN_LONG=1",
+    reason="full 4-layer enumeration: 369 s with 2 workers on 2 cores; set CHIPFIRE_RUN_LONG=1",
 )
 class TestFourLayersFull:
     def test_ground_truth_and_observed_orders(self, tmp_path):
