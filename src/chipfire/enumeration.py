@@ -20,8 +20,20 @@ stable configurations) but is incomplete beyond that: at 4 layers it
 reaches 20,006 of the 36,220 stable configurations, so it is a cheap
 lower-bound probe, not a substitute for the full search.
 
+The tree with its root self-loop is left-right symmetric: reflecting it
+and relabelling chip i as N + 1 - i maps every game to a game.  So full
+mode keeps only the smaller state of each mirror pair, its orbit's
+representative; the successors of a state's mirror are the mirrors of its
+successors.  Every count the search reports (frontier sizes, explored
+states, the peak frontier) is in unreduced states, and the stable level is
+expanded back into whole orbits, so corpora do not depend on the
+quotient.  Scheduled mode fires the lowest-index vertex first, which the
+mirror does not preserve, so it keeps every state.
+
 Corpora and checkpoints share one record format: a JSON header line
-carrying the sha256 of the body, then one sorted record per line.
+carrying the sha256 of the body, then one sorted record per line.  A
+checkpoint body holds one representative per line in full mode, so
+checkpoints have a version of their own.
 """
 
 from __future__ import annotations
@@ -35,7 +47,7 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Collection, Iterable
+from typing import Collection, Iterable, Iterator
 
 from . import unlabeled
 from .labeled import LabeledConfig
@@ -54,7 +66,9 @@ __all__ = [
 
 CORPUS_FORMAT = "chipfire-stable-set"
 CHECKPOINT_FORMAT = "chipfire-checkpoint"
-FORMAT_VERSION = 1
+# version 2 checkpoints hold mirror representatives in full mode; a
+# version 1 body would resume with half of its orbits missing
+VERSIONS = {CORPUS_FORMAT: 1, CHECKPOINT_FORMAT: 2}
 
 MODES = ("full", "scheduled")
 
@@ -110,6 +124,23 @@ def _cells_of(state: bytes) -> dict[int, list[int]]:
     return cells
 
 
+# the mirror of vertex v on layer k, 3 * 2^(k-1) - 1 - v, sits as far from
+# the other end of layer k; one table serves every ell up to 8
+_MIRROR = bytes([0] + [3 * (1 << (v.bit_length() - 1)) - 1 - v for v in range(1, 256)])
+
+
+def _mirror(state: bytes) -> bytes:
+    """The mirror image of `state`: the tree reflected, chip i relabelled N + 1 - i."""
+    return state[::-1].translate(_MIRROR)
+
+
+def _orbit_count(states: Collection[bytes], mode: str) -> int:
+    """How many states `states` stands for: two per mirror pair in full mode."""
+    if mode != "full":
+        return len(states)
+    return 2 * len(states) - sum(1 for s in states if s == _mirror(s))
+
+
 def _fire_vector(state: bytes) -> list[int] | None:
     """How often each vertex has fired to reach `state`, read off its shadow.
 
@@ -138,11 +169,12 @@ def _fire_vector(state: bytes) -> list[int] | None:
 
 def _expand_batch(
     args: tuple[Collection[bytes], str, int, list[int] | None],
-) -> tuple[set[bytes], list[bytes], int]:
+) -> tuple[set[bytes], list[bytes]]:
     """Expand states that all sit at `depth`: their successors, and the stable ones.
 
-    With `budgets` (per-vertex fire budgets), every state's fire vector
-    must first account for exactly `depth` fires, none over budget.
+    In full mode the successors are mirror representatives.  With
+    `budgets` (per-vertex fire budgets), every state's fire vector must
+    first account for exactly `depth` fires, none over budget.
     """
     states, mode, depth, budgets = args
     if budgets is not None:
@@ -172,7 +204,30 @@ def _expand_batch(
                 nxt[b - 1] = up
                 nxt[c - 1] = right
                 successors.add(bytes(nxt))
-    return successors, stable, len(states)
+    if mode == "full":
+        # after the local dedup: each state is generated about 15 times
+        successors = {m if m < s else s for s in successors for m in (_mirror(s),)}
+    return successors, stable
+
+
+def _unpack(packed: bytes, n_chips: int) -> Iterator[bytes]:
+    return (packed[i : i + n_chips] for i in range(0, len(packed), n_chips))
+
+
+def _expand_packed(
+    args: tuple[bytes, int, str, int, list[int] | None],
+) -> tuple[bytes, list[bytes]]:
+    """_expand_batch in a worker process, with the states packed into one bytes object.
+
+    One object pickles without a per-state memo entry, and the main
+    process unpacks the successors one at a time into its level set, so
+    states that another batch already produced are freed at once instead
+    of piling up and fragmenting the main process's heap.
+    """
+    packed, n_chips, mode, depth, budgets = args
+    states = list(_unpack(packed, n_chips))
+    successors, stable = _expand_batch((states, mode, depth, budgets))
+    return b"".join(successors), stable
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +250,9 @@ def enumerate_stable(
     """Enumerate every reachable stable configuration for 2^ell - 1 chips.
 
     Raises EnumerationPaused (after writing a checkpoint when a path was
-    given) if `max_seconds` or `max_frontier` is exceeded; pass the
-    checkpoint to `resume_path` to continue.  `check_budgets` checks the
+    given) if `max_seconds` or `max_frontier` (in unreduced states) is
+    exceeded; pass the checkpoint to `resume_path` to continue.  At most
+    one worker process per CPU is started.  `check_budgets` checks the
     fire vector of every expanded state, in workers and after a resume
     too (defaults to True for ell <= 3, where it is cheap).  A resumed
     frontier that breaks an invariant of the search raises CorpusError.
@@ -207,6 +263,10 @@ def enumerate_stable(
         raise ValueError("enumeration is limited to ell <= 8 (state encoding and sanity)")
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
+    # more processes than CPUs only add memory and pickling; results never depend on it
+    workers = min(workers, os.cpu_count() or 1)
     if check_budgets is None:
         check_budgets = ell <= 3
 
@@ -221,8 +281,9 @@ def enumerate_stable(
         depth, frontier, explored, max_seen = read_checkpoint(resume_path, ell, mode)
     else:
         depth, frontier, explored, max_seen = 0, {bytes([1]) * n_chips}, 0, 1
+    size = _orbit_count(frontier, mode)
 
-    stable_states: list[bytes] = []
+    stable_states: Collection[bytes] = []
     started = time.monotonic()
     last_checkpoint = started
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -230,13 +291,13 @@ def enumerate_stable(
     def pause(reason: str) -> EnumerationPaused:
         if checkpoint_path is not None:
             write_checkpoint(checkpoint_path, ell, mode, depth, frontier, explored, max_seen)
-        return EnumerationPaused(reason, checkpoint_path, depth, len(frontier))
+        return EnumerationPaused(reason, checkpoint_path, depth, size)
 
     try:
         while frontier:
             if max_seconds is not None and time.monotonic() - started > max_seconds:
                 raise pause("time budget exhausted")
-            if max_frontier is not None and len(frontier) > max_frontier:
+            if max_frontier is not None and size > max_frontier:
                 raise pause("frontier size limit exceeded")
             if (
                 checkpoint_path is not None
@@ -246,7 +307,7 @@ def enumerate_stable(
                 last_checkpoint = time.monotonic()
             if progress:
                 print(
-                    f"depth {depth}/{target_depth}: frontier {len(frontier)} "
+                    f"depth {depth}/{target_depth}: frontier {size} "
                     f"explored {explored} elapsed {time.monotonic() - started:.0f}s",
                     file=sys.stderr,
                     flush=True,
@@ -256,19 +317,16 @@ def enumerate_stable(
                 work = list(frontier)
                 chunk = max(1, len(work) // (workers * 8))
                 batches = [
-                    (work[i : i + chunk], mode, depth, budgets) for i in range(0, len(work), chunk)
+                    (b"".join(work[i : i + chunk]), n_chips, mode, depth, budgets)
+                    for i in range(0, len(work), chunk)
                 ]
-                results = pool.map(_expand_batch, batches)
+                next_frontier, stable = set(), []
+                for packed, stab in pool.map(_expand_packed, batches):
+                    next_frontier.update(_unpack(packed, n_chips))
+                    stable += stab
             else:
-                results = [_expand_batch((frontier, mode, depth, budgets))]
-            next_frontier, stable = set(), []
-            for succ, stab, done in results:
-                # union into the larger set, so one process's level is never copied
-                if len(succ) > len(next_frontier):
-                    next_frontier, succ = succ, next_frontier
-                next_frontier |= succ
-                stable += stab
-                explored += done
+                next_frontier, stable = _expand_batch((frontier, mode, depth, budgets))
+            explored += size
 
             if stable:
                 assert depth == target_depth, (
@@ -279,7 +337,8 @@ def enumerate_stable(
             else:
                 assert depth < target_depth, "search ran past the fixed stabilization depth"
             frontier = next_frontier
-            max_seen = max(max_seen, len(frontier) or 1)
+            size = _orbit_count(frontier, mode)
+            max_seen = max(max_seen, size or 1)
             depth += 1
     except MemoryError:
         raise pause("out of memory") from None
@@ -291,6 +350,8 @@ def enumerate_stable(
         if pool is not None:
             pool.shutdown()
 
+    if mode == "full":
+        stable_states = {m for s in stable_states for m in (s, _mirror(s))}
     configs = [LabeledConfig(n_chips, dict(sorted(_cells_of(s).items()))) for s in stable_states]
     configs.sort(key=LabeledConfig.canonical_json)
     return StableSet(
@@ -331,7 +392,7 @@ def _write_records(path: str, fmt: str, fields: dict, lines: Iterable[str]) -> N
     while batch := list(itertools.islice(lines, _CHUNK_LINES)):
         chunks.append(("\n".join(batch) + "\n").encode())
         digest.update(chunks[-1])
-    header = {"format": fmt, "version": FORMAT_VERSION, **fields, "sha256": digest.hexdigest()}
+    header = {"format": fmt, "version": VERSIONS[fmt], **fields, "sha256": digest.hexdigest()}
     tmp = path + ".tmp"
     with open(tmp, "wb") as handle:
         handle.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
@@ -357,10 +418,10 @@ def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **
         raise CorpusError(f"{path}: line 1: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != fmt:
         raise CorpusError(f"{path}: line 1: not a {fmt} file")
-    if header.get("version") != FORMAT_VERSION:
+    if header.get("version") != VERSIONS[fmt]:
         raise CorpusError(
             f"{path}: version mismatch: file has {header.get('version')}, "
-            f"supported is {FORMAT_VERSION}"
+            f"supported is {VERSIONS[fmt]}"
         )
     for key, value in expected.items():
         if header.get(key) != value:
@@ -420,6 +481,11 @@ def write_checkpoint(
     explored: int,
     max_seen: int,
 ) -> None:
+    """Write the frontier as the search keeps it: mirror representatives in full mode.
+
+    `frontier_count` is the number of body lines; `explored` and
+    `max_seen` are in unreduced states.
+    """
     fields = {
         "ell": ell,
         "mode": mode,
@@ -433,6 +499,10 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, set[bytes], int, int]:
+    """Read a checkpoint written by write_checkpoint(): depth, frontier, explored, max_seen.
+
+    In full mode every state must be the smaller of its mirror pair.
+    """
     n_chips = 2**ell - 1
     vertices = bytes(range(1, n_chips + 1))
 
@@ -440,6 +510,8 @@ def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, set[bytes], in
         state = binascii.unhexlify(line)
         if len(state) != n_chips or state.translate(None, vertices):
             raise ValueError(f"not a state of {n_chips} chips on vertices 1..{n_chips}")
+        if mode == "full" and _mirror(state) < state:
+            raise ValueError("not the smaller state of its mirror pair")
         return state
 
     header, states = _read_records(

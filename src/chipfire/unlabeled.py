@@ -20,6 +20,8 @@ Arrays c and f are 0-indexed (entry k describes layer k + 1) throughout.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import random
 from dataclasses import dataclass, field
 
@@ -189,43 +191,61 @@ def simulate(
     cap = step_cap if step_cap is not None else 4 * total_fires(n_chips) + 16
     rng = random.Random(seed) if strategy == "random" else None
 
-    cells: dict[int, int] = {1: n_chips}
-    fired: dict[int, int] = {}
-    fireable: set[int] = {1} if n_chips >= 3 else set()
-    steps = 0
+    # chips never pass layer n = floor(log2(N + 1)), whose vertices never fire,
+    # so every vertex they reach is below 2^n
+    size = 1 << ((n_chips + 1).bit_length() - 1)
+    cells = [0] * size
+    fired = [0] * size
+    cells[1] = n_chips
+    # Each fireable vertex is queued exactly once: a vertex loses chips only
+    # by firing, so it stays fireable until the strategy picks it.
+    queue: list = []
+    if strategy == "lowest-index-first":
+        push = functools.partial(heapq.heappush, queue)
+        pop = functools.partial(heapq.heappop, queue)
+    elif strategy == "highest-layer-first":
 
-    while fireable:
+        def push(v: int) -> None:
+            heapq.heappush(queue, (-v.bit_length(), v))
+
+        def pop() -> int:
+            return heapq.heappop(queue)[1]
+
+    else:
+        push = queue.append
+
+        def pop() -> int:
+            i = int(rng.random() * len(queue))
+            queue[i], queue[-1] = queue[-1], queue[i]
+            return queue.pop()
+
+    if n_chips >= 3:
+        push(1)
+    steps = 0
+    while queue:
         if steps >= cap:
             raise RuntimeError(
                 f"simulation exceeded its step cap ({cap}) for n_chips={n_chips}; "
                 "this indicates an internal error"
             )
-        if strategy == "lowest-index-first":
-            v = min(fireable)
-        elif strategy == "highest-layer-first":
-            v = min(fireable, key=lambda u: (-u.bit_length(), u))
-        else:
-            v = rng.choice(sorted(fireable))
-
-        pv = v >> 1 if v > 1 else v  # self-loop: a root fire returns one chip
-        touched = (v, pv, 2 * v, 2 * v + 1)
+        v = pop()
         cells[v] -= 3
-        for u in (pv, 2 * v, 2 * v + 1):
-            cells[u] = cells.get(u, 0) + 1
-        fired[v] = fired.get(v, 0) + 1
-        for u in touched:
-            if cells.get(u, 0) >= 3:
-                fireable.add(u)
-            else:
-                fireable.discard(u)
+        fired[v] += 1
+        if cells[v] >= 3:
+            push(v)
+        # self-loop: a root fire returns one chip to the root
+        for u in (v >> 1 or 1, 2 * v, 2 * v + 1):
+            cells[u] += 1
+            if cells[u] == 3:
+                push(u)
         steps += 1
         if validate:
-            assert sum(cells.values()) == n_chips, "chip conservation violated"
+            assert sum(cells) == n_chips, "chip conservation violated"
 
     return UnlabeledState(
         n_chips=n_chips,
-        cells={v: k for v, k in sorted(cells.items()) if k},
-        fired=dict(sorted(fired.items())),
+        cells={v: k for v, k in enumerate(cells) if k},
+        fired={v: k for v, k in enumerate(fired) if k},
     )
 
 

@@ -322,6 +322,11 @@ class TestEnumerateAndCorpus:
         code, _ = run_cli(capsys, "enumerate", "--ell", "3", "--out", str(tmp_path / where))
         assert code == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_fewer_than_one_worker_is_a_usage_error(self, capsys, workers):
+        code, _ = run_cli(capsys, "enumerate", "--ell", "2", "--workers", workers)
+        assert code == 2
+
     def test_enumerate_json_summary(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--ell", "2", "--json")
         assert code == 0
@@ -354,6 +359,25 @@ def _forge_all_chips_on_vertex_7(path):
     enumeration.write_checkpoint(path, 3, "full", 4, {bytes([7] * 7)}, 10, 15)
 
 
+def _forge_unreachable_representative(path):
+    enumeration.write_checkpoint(path, 3, "full", 4, {bytes([4] * 7)}, 10, 15)
+
+
+def _forge_version_one(path):
+    _paused_checkpoint(path)
+    head, body = open(path, "rb").read().split(b"\n", 1)
+    header = json.loads(head)
+    header["version"] = 1
+    open(path, "wb").write(json.dumps(header).encode() + b"\n" + body)
+
+
+def _forge_larger_state_of_a_mirror_pair(path):
+    _paused_checkpoint(path)
+    depth, frontier, explored, max_seen = enumeration.read_checkpoint(path, 3, "full")
+    mirrored = {max(s, enumeration._mirror(s)) for s in frontier}
+    enumeration.write_checkpoint(path, 3, "full", depth, mirrored, explored, max_seen)
+
+
 def _forge_depth_shifted_by_two(path):
     _paused_checkpoint(path)
     depth, frontier, explored, max_seen = enumeration.read_checkpoint(path, 3, "full")
@@ -368,6 +392,9 @@ def _forge_depth_shifted_by_two(path):
         _forge_empty_frontier,
         _forge_all_chips_on_vertex_7,
         _forge_depth_shifted_by_two,
+        _forge_unreachable_representative,
+        _forge_version_one,
+        _forge_larger_state_of_a_mirror_pair,
     ],
 )
 def test_malformed_checkpoint_is_checkpoint_error(capsys, tmp_path, forge):

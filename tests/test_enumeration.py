@@ -64,6 +64,34 @@ def tallied_bfs(n_chips):
     return list(seen.values())
 
 
+def plain_successors(state):
+    """Reference: every full-mode successor of a bytes state, without the mirror quotient."""
+    out = set()
+    for v in set(state):
+        labels = [i for i, u in enumerate(state) if u == v]
+        for a, b, c in itertools.combinations(labels, 3):
+            nxt = bytearray(state)
+            nxt[a], nxt[b], nxt[c] = 2 * v, v // 2 or 1, 2 * v + 1
+            out.add(bytes(nxt))
+    return out
+
+
+def plain_frontier(n_chips, depth):
+    """Reference: the unreduced full-mode frontier at `depth`, by a plain BFS on bytes."""
+    frontier = {bytes([1]) * n_chips}
+    for _ in range(depth):
+        frontier = set().union(*map(plain_successors, frontier))
+    return frontier
+
+
+def orbits(states):
+    return {m for s in states for m in (s, enumeration._mirror(s))}
+
+
+def checkpoint_body(data):
+    return {bytes.fromhex(line) for line in data.decode().split("\n")[1:] if line}
+
+
 class TestGroundTruth:
     @pytest.mark.parametrize("ell,expected", [(1, 1), (2, 1), (3, 6)])
     def test_counts(self, ell, expected):
@@ -145,6 +173,84 @@ class TestFireVector:
             enumeration._expand_batch(([fired_root_once], "full", 3, [9] * 8))
 
 
+class TestMirrorQuotient:
+    def test_paused_frontier_is_the_unreduced_bfs_frontier(self, tmp_path):
+        ckpt = tmp_path / "z4.ckpt"
+        with pytest.raises(enumeration.EnumerationPaused) as info:
+            enumeration.enumerate_stable(4, max_frontier=50_000, checkpoint_path=str(ckpt))
+        assert (info.value.depth, info.value.frontier) == (4, 62_180)
+        data = ckpt.read_bytes()
+        header = json.loads(data.split(b"\n")[0])
+        assert header["version"] == 2
+        assert header["explored_states"] == 18_750
+        assert header["max_frontier"] == 62_180
+        reps = checkpoint_body(data)
+        assert header["frontier_count"] == len(reps) == data.count(b"\n") - 1
+        assert all(s <= enumeration._mirror(s) for s in reps)
+        reference = plain_frontier(15, 4)
+        assert len(reference) == 62_180
+        assert orbits(reps) == reference
+
+    def test_every_checkpoint_expands_to_the_tallied_states_at_its_depth(
+        self, tmp_path, monkeypatch
+    ):
+        copies = []
+        write = enumeration.write_checkpoint
+
+        def write_and_copy(path, *args):
+            write(path, *args)
+            copies.append(open(path, "rb").read())
+
+        monkeypatch.setattr(enumeration, "write_checkpoint", write_and_copy)
+        ckpt = str(tmp_path / "z3.ckpt")
+        enumeration.enumerate_stable(3, checkpoint_path=ckpt, checkpoint_every=0)
+        by_depth = {}
+        for config, tally in tallied_bfs(7):
+            by_depth.setdefault(sum(tally.values()), set()).add(state_of(config))
+        assert len(copies) == len(by_depth) == unlabeled.total_fires(7) + 1
+        for depth, copy in enumerate(copies):
+            assert orbits(checkpoint_body(copy)) == by_depth[depth]
+
+    def test_mirror_is_an_involution_that_commutes_with_expansion(self):
+        states = {state_of(config) for config, _ in tallied_bfs(7)}
+        assert len(states) == 90
+        for s in states:
+            m = enumeration._mirror(s)
+            assert m in states
+            assert enumeration._mirror(m) == s
+            assert {enumeration._mirror(t) for t in plain_successors(s)} == plain_successors(m)
+
+    def test_stable_set_is_closed_under_the_mirror(self, stable3):
+        states = {state_of(config) for config in stable3.configs}
+        assert orbits(states) == states
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_an_error(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            enumeration.enumerate_stable(2, workers=workers)
+
+    def test_pool_is_capped_at_the_cpu_count(self, stable3, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, func, batches):
+                return map(func, batches)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+        result = enumeration.enumerate_stable(3, workers=10**6, parallel_threshold=1)
+        assert started == [3]
+        assert result.canonical_keys() == stable3.canonical_keys()
+
+
 class TestSubtreeOrders:
     def test_depth_two_orders(self, stable3):
         assert enumeration.extract_subtree_orders(stable3, 2) == {"2;1,3"}
@@ -207,6 +313,11 @@ class TestPersistence:
         with pytest.raises(enumeration.CorpusError, match="version"):
             enumeration.load(path)
 
+    def test_corpora_keep_version_one(self, stable3, tmp_path):
+        path = str(tmp_path / "z3.jsonl")
+        enumeration.save(stable3, path)
+        assert json.loads(open(path).readline())["version"] == 1
+
     def test_not_a_corpus(self, tmp_path):
         path = str(tmp_path / "junk.jsonl")
         open(path, "w").write("plain text\n")
@@ -255,6 +366,33 @@ class TestCheckpointing:
         with pytest.raises(enumeration.CorpusError, match="version"):
             enumeration.enumerate_stable(3, resume_path=ckpt)
 
+    def test_resume_rejects_a_version_one_checkpoint(self, tmp_path):
+        # a version-1 body holds both states of every mirror pair
+        ckpt = str(tmp_path / "z3.ckpt")
+        with pytest.raises(enumeration.EnumerationPaused):
+            enumeration.enumerate_stable(3, max_frontier=5, checkpoint_path=ckpt)
+        head, body = open(ckpt, "rb").read().split(b"\n", 1)
+        header = json.loads(head)
+        header["version"] = 1
+        open(ckpt, "wb").write(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(enumeration.CorpusError, match="version"):
+            enumeration.enumerate_stable(3, resume_path=ckpt)
+
+    def test_full_mode_rejects_a_state_that_is_not_its_orbits_minimum(self, tmp_path):
+        ckpt = str(tmp_path / "z3.ckpt")
+        fired = bytes([2, 1, 3, 1, 1, 1, 1])
+        mirrored = enumeration._mirror(fired)
+        assert mirrored == bytes([1, 1, 1, 1, 2, 1, 3]) and mirrored < fired
+        for mode in enumeration.MODES:
+            fields = {"ell": 3, "mode": mode, "depth": 1, "frontier_count": 2}
+            lines = [mirrored.hex(), fired.hex()]
+            enumeration._write_records(ckpt, enumeration.CHECKPOINT_FORMAT, fields, lines)
+            if mode == "scheduled":
+                assert enumeration.read_checkpoint(ckpt, 3, mode)[1] == {mirrored, fired}
+            else:
+                with pytest.raises(enumeration.CorpusError, match="line 3: .*mirror"):
+                    enumeration.read_checkpoint(ckpt, 3, mode)
+
     @pytest.mark.parametrize(
         "line", [bytes(7).hex(), bytes([8] + [1] * 6).hex(), "01" * 6, "01" * 6 + "0g"]
     )
@@ -296,15 +434,25 @@ class TestCheckpointing:
             assert corpus.read_bytes() == expected.read_bytes()
 
 
+FOUR_LAYER_BODY_SHA256 = "020980e1fc2e2a69660a363d6abfd83e385ef60381e752e9425aa15d1a3cdf8d"
+
+
 @pytest.mark.long
 @pytest.mark.skipif(
     os.environ.get("CHIPFIRE_RUN_LONG") != "1",
-    reason="full 4-layer enumeration: 369 s with 2 workers on 2 cores; set CHIPFIRE_RUN_LONG=1",
+    reason="full 4-layer enumeration: 310 s with 2 workers on 2 cores (BENCH_3.json); "
+    "set CHIPFIRE_RUN_LONG=1",
 )
 class TestFourLayersFull:
     def test_ground_truth_and_observed_orders(self, tmp_path):
         result = enumeration.enumerate_stable(4, workers=2)
         assert result.count == 36220
+        assert result.meta["explored_states"] == 48_194_309
+        assert result.meta["max_frontier"] == 9_036_223
+        corpus = tmp_path / "z4.jsonl"
+        enumeration.save(result, str(corpus))
+        body = corpus.read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == FOUR_LAYER_BODY_SHA256
         assert len(enumeration.extract_subtree_orders(result, 3)) == 10
         for config in result.configs:
             for name, checker in checks.CHECKERS.items():
