@@ -68,6 +68,14 @@ def min_layers_for(property_name: str) -> int:
     return {"anchors": 2, "penultimate": 2, "forbidden": 3}.get(property_name, 1)
 
 
+def _layers_for(config: LabeledConfig, property_name: str) -> int:
+    """full_layers(config), refused below the property's minimum layer count."""
+    ell, needed = full_layers(config), min_layers_for(property_name)
+    if ell < needed:
+        raise ValueError(f"{property_name} check needs at least {needed} layers")
+    return ell
+
+
 def _positions(config: LabeledConfig) -> dict[int, int]:
     return {labels[0]: v for v, labels in config.cells.items()}
 
@@ -79,9 +87,7 @@ def check_anchors(config: LabeledConfig) -> CheckReport:
     for ell >= 3, chip 2 sits at the parent of chip 1's vertex and chip
     N - 1 at the parent of chip N's vertex.
     """
-    ell = full_layers(config)
-    if ell < 2:
-        raise ValueError("anchor check needs at least 2 layers")
+    ell = _layers_for(config, "anchors")
     n = config.n_chips
     pos = _positions(config)
     report = CheckReport("anchors")
@@ -195,9 +201,7 @@ def check_penultimate(config: LabeledConfig, mode: str = "strict") -> CheckRepor
     """
     if mode not in PENULTIMATE_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {PENULTIMATE_MODES}")
-    ell = full_layers(config)
-    if ell < 2:
-        raise ValueError("penultimate check needs at least 2 layers")
+    ell = _layers_for(config, "penultimate")
     mins, maxs = _subtree_extremes(config, ell - 1)  # bottom layer excluded
     report = CheckReport("penultimate")
     for v in range(2 ** (ell - 2), 2 ** (ell - 1)):
@@ -260,9 +264,7 @@ def check_forbidden_order(config: LabeledConfig) -> CheckReport:
     of the smallest chip while the second-largest chip is simultaneously
     away from the parent of the largest chip.
     """
-    ell = full_layers(config)
-    if ell < 3:
-        raise ValueError("forbidden-order check needs at least 3 layers")
+    ell = _layers_for(config, "forbidden")
     report = CheckReport("forbidden")
     for s in range(2 ** (ell - 3), 2 ** (ell - 2)):
         vertices = [s, 2 * s, 2 * s + 1] + [4 * s + i for i in range(4)]

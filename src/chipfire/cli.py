@@ -7,11 +7,16 @@ byte-identical bytes (progress and diagnostics go to stderr).  Exit
 codes: 0 success / all checks pass, 1 property failure, 2 usage or input
 error, 3 checkpoint error, 4 enumeration paused with a checkpoint
 written.
+
+The subcommands leave the library's own argument checks to the library:
+main() turns any ValueError it raises (CorpusError is one) into a single
+`error: <message>` line and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -46,8 +51,6 @@ def _cannot_write(path: str) -> bool:
 
 
 def cmd_fires(args) -> int:
-    if args.chips < 1:
-        return _fail("--chips must be >= 1")
     prof = unlabeled.profile(args.chips)
     if args.json:
         print(_dump(prof.to_dict()))
@@ -60,8 +63,6 @@ def cmd_fires(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.chips < 1:
-        return _fail("--chips must be >= 1")
     if args.labeled:
         config = labeled.run_policy(args.chips, args.policy, args.seed)
         print(config.canonical_json())
@@ -80,8 +81,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_play(args) -> int:
-    if args.chips < 1:
-        return _fail("--chips must be >= 1")
     config, fired = labeled.run_policy_traced(args.chips, args.policy, args.seed)
     out = {
         "policy": args.policy,
@@ -95,12 +94,7 @@ def cmd_play(args) -> int:
 
 
 def cmd_sequence(args) -> int:
-    if args.count < 1:
-        return _fail("--count must be >= 1")
-    try:
-        values = unlabeled.sequence(args.name, args.count)
-    except ValueError as exc:
-        return _fail(str(exc))
+    values = unlabeled.sequence(args.name, args.count)
     if args.json:
         print(_dump({"name": args.name, "count": args.count, "values": values}))
     elif args.csv:
@@ -116,7 +110,10 @@ def _parse_ell_range(text: str) -> tuple[int, int]:
     lo, sep, hi = text.partition("..")
     if not sep:
         raise ValueError("range must look like L1..L2, e.g. 4..7")
-    return int(lo), int(hi)
+    lo, hi = int(lo), int(hi)
+    if hi < lo:
+        raise ValueError(f"range {text} is empty: L2 must be >= L1")
+    return lo, hi
 
 
 def cmd_bounds(args) -> int:
@@ -132,24 +129,18 @@ def cmd_bounds(args) -> int:
 
 
 def _bounds(args) -> int:
-    try:
-        cap = bounds_mod.ell_cap()
-    except ValueError as exc:
-        return _fail(str(exc))
+    if args.table is None and args.ell is None:
+        return _fail("either --ell or --table is required")
+    lo, hi = _parse_ell_range(args.table) if args.table is not None else (args.ell, args.ell)
+    cap = bounds_mod.ell_cap()
+    if hi > cap:
+        return _fail(f"ell {hi} exceeds the cap {cap}; set CHIPFIRE_MAX_ELL to raise it")
     use_sci = args.sci or (args.table is not None and not args.exact)
 
     def fmt(value: int) -> str:
         return bounds_mod.sci(value) if use_sci else str(value)
 
     if args.table is not None:
-        try:
-            lo, hi = _parse_ell_range(args.table)
-        except ValueError as exc:
-            return _fail(str(exc))
-        if lo < 4 or hi < lo:
-            return _fail("table range needs 4 <= L1 <= L2")
-        if hi > cap:
-            return _fail(f"ell {hi} exceeds the cap {cap}; set CHIPFIRE_MAX_ELL to raise it")
         rows = bounds_mod.compare_table(range(lo, hi + 1))
         if args.json:
             print(
@@ -169,39 +160,32 @@ def _bounds(args) -> int:
                     }
                 )
             )
-        elif args.csv:
-            print("ell,naive_z,zigzag_z,ballot_z")
-            for r in rows:
-                print(f"{r.ell},{fmt(r.naive_z)},{fmt(r.zigzag_z)},{fmt(r.ballot_z)}")
+            return EXIT_OK
+        body = [[str(r.ell), fmt(r.naive_z), fmt(r.zigzag_z), fmt(r.ballot_z)] for r in rows]
+        if args.csv:
+            for row in [["ell", "naive_z", "zigzag_z", "ballot_z"], *body]:
+                print(",".join(row))
         else:
-            cells = [["ell", "naive", "zigzag", "ballot (conditional)"]]
-            cells += [[str(r.ell), fmt(r.naive_z), fmt(r.zigzag_z), fmt(r.ballot_z)] for r in rows]
+            cells = [["ell", "naive", "zigzag", "ballot (conditional)"], *body]
             widths = [max(len(row[i]) for row in cells) for i in range(4)]
             for row in cells:
                 print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
         return EXIT_OK
 
-    if args.ell is None:
-        return _fail("either --ell or --table is required")
-    if args.ell > cap:
-        return _fail(f"ell {args.ell} exceeds the cap {cap}; set CHIPFIRE_MAX_ELL to raise it")
-
     methods = {
-        "naive": (bounds_mod.naive_bounds, 3, ""),
-        "zigzag": (bounds_mod.zigzag_bound, 4, ""),
-        "ballot": (bounds_mod.ballot_bound, 3, " (conditional)"),
+        "naive": bounds_mod.naive_bounds,
+        "zigzag": bounds_mod.zigzag_bound,
+        "ballot": bounds_mod.ballot_bound,
     }
-    wanted = list(methods) if args.method == "all" else [args.method]
-    results = {}
-    for name in wanted:
-        func, min_ell, _ = methods[name]
-        if args.ell < min_ell:
-            if args.method != "all":
-                return _fail(f"{name} bound needs ell >= {min_ell}")
-            continue
-        results[name] = func(args.ell)
-    if not results:
-        return _fail(f"no requested bound is defined for ell={args.ell}")
+    if args.method != "all":
+        results = {args.method: methods[args.method](args.ell)}
+    else:
+        results = {}
+        for name, func in methods.items():
+            with contextlib.suppress(ValueError):  # left out where it is undefined
+                results[name] = func(args.ell)
+        if not results:
+            return _fail(f"no requested bound is defined for ell={args.ell}")
     if args.json:
         print(
             _dump(
@@ -214,14 +198,12 @@ def _bounds(args) -> int:
         )
     else:
         for name, (t, z) in results.items():
-            suffix = methods[name][2]
+            suffix = " (conditional)" if name == "ballot" else ""
             print(f"{name}{suffix} T={fmt(t)} Z={fmt(z)}")
     return EXIT_OK
 
 
 def cmd_enumerate(args) -> int:
-    if args.ell < 1:
-        return _fail("--ell must be >= 1")
     if args.out and _cannot_write(args.out):
         return _fail(f"cannot write --out {args.out}")
     if args.checkpoint and _cannot_write(args.checkpoint):
@@ -243,8 +225,6 @@ def cmd_enumerate(args) -> int:
     except enumeration.EnumerationPaused as exc:
         print(f"paused: {exc}", file=sys.stderr)
         return EXIT_PAUSED
-    except ValueError as exc:
-        return _fail(str(exc))
     except OSError as exc:  # writing a checkpoint failed
         return _fail(f"cannot write checkpoint: {exc}", EXIT_CHECKPOINT)
     if args.out:
@@ -276,14 +256,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_extract_orders(args) -> int:
-    try:
-        stable_set = enumeration.load(args.input)
-    except enumeration.CorpusError as exc:
-        return _fail(str(exc))
-    try:
-        orders = sorted(enumeration.extract_subtree_orders(stable_set, args.depth))
-    except ValueError as exc:
-        return _fail(str(exc))
+    stable_set = enumeration.load(args.input)
+    orders = sorted(enumeration.extract_subtree_orders(stable_set, args.depth))
     if args.json:
         print(
             _dump(
@@ -303,10 +277,7 @@ def cmd_extract_orders(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        stable_set = enumeration.load(args.input)
-    except enumeration.CorpusError as exc:
-        return _fail(str(exc))
+    stable_set = enumeration.load(args.input)
     ell = stable_set.ell
 
     wanted = list(checks.CHECKERS) if args.property == "all" else [args.property]
@@ -461,7 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:  # a usage or input error the library refused; CorpusError is one
+        return _fail(str(exc))
 
 
 if __name__ == "__main__":

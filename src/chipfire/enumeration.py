@@ -72,9 +72,6 @@ VERSIONS = {CORPUS_FORMAT: 1, CHECKPOINT_FORMAT: 2}
 
 MODES = ("full", "scheduled")
 
-# engage worker processes only when a level is big enough to amortize them
-_PARALLEL_THRESHOLD = 4096
-
 # body lines encoded per write; bounds the memory a large checkpoint needs
 _CHUNK_LINES = 1 << 16
 
@@ -243,19 +240,18 @@ def enumerate_stable(
     resume_path: str | None = None,
     max_seconds: float | None = None,
     max_frontier: int | None = None,
-    check_budgets: bool | None = None,
     progress: bool = False,
-    parallel_threshold: int = _PARALLEL_THRESHOLD,
 ) -> StableSet:
     """Enumerate every reachable stable configuration for 2^ell - 1 chips.
 
     Raises EnumerationPaused (after writing a checkpoint when a path was
     given) if `max_seconds` or `max_frontier` (in unreduced states) is
-    exceeded; pass the checkpoint to `resume_path` to continue.  At most
-    one worker process per CPU is started.  `check_budgets` checks the
-    fire vector of every expanded state, in workers and after a resume
-    too (defaults to True for ell <= 3, where it is cheap).  A resumed
-    frontier that breaks an invariant of the search raises CorpusError.
+    exceeded; pass the checkpoint to `resume_path` to continue.  With
+    `workers` > 1, every level is expanded in a pool of at most one
+    process per CPU.  For ell <= 3, where it is cheap, the fire vector of
+    every expanded state is checked, in workers and after a resume too.
+    A resumed frontier that breaks an invariant of the search raises
+    CorpusError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -267,15 +263,13 @@ def enumerate_stable(
         raise ValueError("workers must be >= 1")
     # more processes than CPUs only add memory and pickling; results never depend on it
     workers = min(workers, os.cpu_count() or 1)
-    if check_budgets is None:
-        check_budgets = ell <= 3
 
     n_chips = 2**ell - 1
     target_depth = unlabeled.total_fires(n_chips)
-    per_layer = unlabeled.fires_per_layer(n_chips)
-    budgets = [0] + [per_layer[v.bit_length() - 1] for v in range(1, n_chips + 1)]
-    if not check_budgets:
-        budgets = None
+    budgets = None
+    if ell <= 3:  # from ell = 4 on, the per-state check would slow the search
+        per_layer = unlabeled.fires_per_layer(n_chips)
+        budgets = [0] + [per_layer[v.bit_length() - 1] for v in range(1, n_chips + 1)]
 
     if resume_path is not None:
         depth, frontier, explored, max_seen = read_checkpoint(resume_path, ell, mode)
@@ -313,7 +307,7 @@ def enumerate_stable(
                     flush=True,
                 )
 
-            if pool is not None and len(frontier) >= parallel_threshold:
+            if pool is not None:
                 work = list(frontier)
                 chunk = max(1, len(work) // (workers * 8))
                 batches = [
@@ -328,15 +322,16 @@ def enumerate_stable(
                 next_frontier, stable = _expand_batch((frontier, mode, depth, budgets))
             explored += size
 
-            if stable:
-                assert depth == target_depth, (
+            # raised, not asserted: python -O must not resume a forged frontier
+            if stable and depth != target_depth:
+                raise AssertionError(
                     f"stable states found at depth {depth}, expected {target_depth}"
                 )
-                assert not next_frontier, "stability must be reached by every path at once"
-                stable_states = stable
-            else:
-                assert depth < target_depth, "search ran past the fixed stabilization depth"
-            frontier = next_frontier
+            if stable and next_frontier:
+                raise AssertionError("stability must be reached by every path at once")
+            if not stable and depth >= target_depth:
+                raise AssertionError("search ran past the fixed stabilization depth")
+            stable_states, frontier = stable, next_frontier
             size = _orbit_count(frontier, mode)
             max_seen = max(max_seen, size or 1)
             depth += 1

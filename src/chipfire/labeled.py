@@ -91,8 +91,7 @@ class LabeledConfig:
 
 def initial_config(n_chips: int) -> LabeledConfig:
     """All chips 1..n_chips stacked on the root."""
-    if n_chips < 1:
-        raise ValueError("n_chips must be >= 1")
+    unlabeled._check_chips(n_chips)
     return LabeledConfig(n_chips=n_chips, cells={1: list(range(1, n_chips + 1))})
 
 

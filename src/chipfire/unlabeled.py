@@ -144,6 +144,7 @@ class UnlabeledProfile:
 
 
 def profile(n_chips: int) -> UnlabeledProfile:
+    _check_chips(n_chips)
     digits = binary_digits(n_chips + 1)
     f = fires_per_layer(n_chips)
     return UnlabeledProfile(

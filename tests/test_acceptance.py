@@ -151,7 +151,7 @@ def test_criterion_09_combinatorial_oracles():
 def test_criterion_10_determinism(capsys, tmp_path):
     with criterion(10, 30, "worker counts and repeated CLI runs are byte-stable"):
         single = enumeration.enumerate_stable(3, workers=1)
-        multi = enumeration.enumerate_stable(3, workers=2, parallel_threshold=1)
+        multi = enumeration.enumerate_stable(3, workers=2)
         assert single.canonical_keys() == multi.canonical_keys()
 
         invocations = [

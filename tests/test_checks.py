@@ -38,6 +38,13 @@ class TestPreconditions:
         assert checks.check_zigzag_alternation(config).passed
         assert checks.check_ballot(config).passed
 
+    @pytest.mark.parametrize("name", ["anchors", "penultimate", "forbidden"])
+    def test_checkers_refuse_exactly_below_their_minimum(self, name):
+        needed = checks.min_layers_for(name)
+        with pytest.raises(ValueError, match=f"{name} check needs at least {needed} layers"):
+            checks.CHECKERS[name](labeled.run_policy(2 ** (needed - 1) - 1))
+        assert checks.CHECKERS[name](labeled.run_policy(2**needed - 1)).passed
+
 
 class TestAnchors:
     def test_pass(self):

@@ -1,11 +1,14 @@
 import decimal
 import hashlib
 import json
+import os
+import subprocess
 import sys
 
 import pytest
 
-from chipfire import bounds, enumeration
+import chipfire
+from chipfire import bounds, enumeration, unlabeled
 from chipfire.cli import main
 
 
@@ -404,6 +407,29 @@ def test_malformed_checkpoint_is_checkpoint_error(capsys, tmp_path, forge):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_forged_depth_is_refused_with_asserts_stripped(tmp_path):
+    # a frontier at depth 4 that claims to sit at the stabilization depth; python -O
+    # strips assert statements, so the search's invariants must be raised explicitly
+    ckpt = str(tmp_path / "z4.ckpt")
+    with pytest.raises(enumeration.EnumerationPaused):
+        enumeration.enumerate_stable(4, max_frontier=50_000, checkpoint_path=ckpt)
+    head, body = open(ckpt, "rb").read().split(b"\n", 1)
+    header = json.loads(head)
+    assert header["depth"] == 4
+    header["depth"] = unlabeled.total_fires(15)
+    open(ckpt, "wb").write(json.dumps(header).encode() + b"\n" + body)
+    argv = ["enumerate", "--ell", "4", "--resume", ckpt, "--max-seconds", "5"]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "chipfire.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(chipfire.__file__))},
+        timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "search ran past the fixed stabilization depth" in proc.stderr
 
 
 class TestByteReproducibility:

@@ -128,13 +128,9 @@ class TestDeterminismAndModes:
         scheduled = enumeration.enumerate_stable(3, mode="scheduled")
         assert scheduled.canonical_keys() == stable3.canonical_keys()
 
-    def test_budget_checked_run_agrees(self, stable3):
-        checked = enumeration.enumerate_stable(3, check_budgets=True)
-        assert checked.canonical_keys() == stable3.canonical_keys()
-
     def test_worker_count_does_not_change_results(self, stable3):
-        # a threshold of 1 forces every level, and the budget check, through the process pool
-        parallel = enumeration.enumerate_stable(3, workers=2, parallel_threshold=1)
+        # with two workers every level, and the budget check, goes through the process pool
+        parallel = enumeration.enumerate_stable(3, workers=2)
         assert parallel.canonical_keys() == stable3.canonical_keys()
         assert parallel.meta == stable3.meta
 
@@ -246,7 +242,7 @@ class TestWorkers:
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
-        result = enumeration.enumerate_stable(3, workers=10**6, parallel_threshold=1)
+        result = enumeration.enumerate_stable(3, workers=10**6)
         assert started == [3]
         assert result.canonical_keys() == stable3.canonical_keys()
 
