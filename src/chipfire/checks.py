@@ -26,7 +26,6 @@ __all__ = [
     "relative_order_key",
     "CHECKERS",
     "min_layers_for",
-    "full_layers",
 ]
 
 PENULTIMATE_MODES = ("strict", "lenient", "literal")
@@ -49,35 +48,38 @@ class CheckReport:
         self.passed = False
 
 
-def full_layers(config: LabeledConfig) -> int:
-    """Validate the one-chip-per-vertex layout and return its layer count."""
+def min_layers_for(property_name: str) -> int:
+    """Smallest layer count a property is defined for."""
+    return {"anchors": 2, "penultimate": 2, "forbidden": 3}.get(property_name, 1)
+
+
+def _labels(config: LabeledConfig, property_name: str) -> list[int]:
+    """The chip on each vertex, indexed by vertex (entry 0 unused).
+
+    Refuses anything outside the checkers' domain: N = 2^ell - 1 chips,
+    stable, one chip on each vertex of the first ell layers, and at least
+    the property's minimum layer count.
+    """
     n = config.n_chips
     ell = n.bit_length()
     if n != 2**ell - 1:
         raise ValueError(f"checkers need n_chips of the form 2^ell - 1, got {n}")
     if not config.is_stable():
         raise ValueError("checkers only accept stable configurations")
-    expected = set(range(1, 2**ell))
-    if set(config.cells) != expected or any(len(ls) != 1 for ls in config.cells.values()):
+    if len(config.cells) != n or any(len(config.cells.get(v, ())) != 1 for v in range(1, n + 1)):
         raise ValueError("configuration is not one chip on each vertex of the first layers")
-    return ell
-
-
-def min_layers_for(property_name: str) -> int:
-    """Smallest layer count a property is defined for."""
-    return {"anchors": 2, "penultimate": 2, "forbidden": 3}.get(property_name, 1)
-
-
-def _layers_for(config: LabeledConfig, property_name: str) -> int:
-    """full_layers(config), refused below the property's minimum layer count."""
-    ell, needed = full_layers(config), min_layers_for(property_name)
+    needed = min_layers_for(property_name)
     if ell < needed:
         raise ValueError(f"{property_name} check needs at least {needed} layers")
-    return ell
+    return [0] + [config.cells[v][0] for v in range(1, n + 1)]
 
 
-def _positions(config: LabeledConfig) -> dict[int, int]:
-    return {labels[0]: v for v, labels in config.cells.items()}
+def _subtree_sorted(labels: list[int], ell: int) -> list[list[int]]:
+    """Per vertex, the ascending chips of its subtree within the first ell layers."""
+    sub = [[labels[v]] for v in range(2**ell)]
+    for v in range(2 ** (ell - 1) - 1, 0, -1):
+        sub[v] = sorted(sub[v] + sub[2 * v] + sub[2 * v + 1])
+    return sub
 
 
 def check_anchors(config: LabeledConfig) -> CheckReport:
@@ -87,55 +89,33 @@ def check_anchors(config: LabeledConfig) -> CheckReport:
     for ell >= 3, chip 2 sits at the parent of chip 1's vertex and chip
     N - 1 at the parent of chip N's vertex.
     """
-    ell = _layers_for(config, "anchors")
+    labels = _labels(config, "anchors")
     n = config.n_chips
-    pos = _positions(config)
+    ell = n.bit_length()
     report = CheckReport("anchors")
     targets = [(1, 2 ** (ell - 1)), (n, 2**ell - 1)]
     if ell >= 3:
         targets += [(2, 2 ** (ell - 2)), (n - 1, 2 ** (ell - 1) - 1)]
     for chip, want in targets:
-        got = pos[chip]
+        got = labels.index(chip)
         if got != want:
             report.add(want, f"chip {chip} expected at vertex {want}, found at vertex {got}")
     return report
 
 
-def _subtree_extremes(config: LabeledConfig, ell: int) -> tuple[dict[int, int], dict[int, int]]:
-    """Per-vertex min and max label over the subtree within the first ell layers."""
-    mins: dict[int, int] = {}
-    maxs: dict[int, int] = {}
-    for v in range(2**ell - 1, 0, -1):
-        lab = config.label_at(v)
-        lo = hi = lab
-        if tree.layer(v) < ell:
-            lo = min(lo, mins[2 * v], mins[2 * v + 1])
-            hi = max(hi, maxs[2 * v], maxs[2 * v + 1])
-        mins[v], maxs[v] = lo, hi
-    return mins, maxs
-
-
 def check_subtree_extremes(config: LabeledConfig) -> CheckReport:
     """Each subtree keeps its smallest chip bottom-straight-left and its
     largest bottom-straight-right."""
-    ell = full_layers(config)
-    mins, maxs = _subtree_extremes(config, ell)
+    labels = _labels(config, "extremes")
+    ell = config.n_chips.bit_length()
+    sub = _subtree_sorted(labels, ell)
     report = CheckReport("extremes")
     for v in range(1, 2**ell):
-        bl = tree.bottom_straight_left(v, ell)
-        br = tree.bottom_straight_right(v, ell)
-        if config.label_at(bl) != mins[v]:
-            report.add(
-                v,
-                f"subtree minimum {mins[v]} is not at vertex {bl} "
-                f"(found chip {config.label_at(bl)})",
-            )
-        if config.label_at(br) != maxs[v]:
-            report.add(
-                v,
-                f"subtree maximum {maxs[v]} is not at vertex {br} "
-                f"(found chip {config.label_at(br)})",
-            )
+        bl, br = tree.bottom_straight_left(v, ell), tree.bottom_straight_right(v, ell)
+        for at, word, end in ((bl, "minimum", 0), (br, "maximum", -1)):
+            found, want = labels[at], sub[v][end]
+            if found != want:
+                report.add(v, f"subtree {word} {want} is not at vertex {at} (found chip {found})")
     return report
 
 
@@ -147,11 +127,8 @@ def _maximal_zigzag_starts(ell: int) -> list[tuple[int, str | None]]:
     zigzags absorb both children), so maximal starts are the root plus
     same-parity children of non-root vertices.
     """
-    starts: list[tuple[int, str | None]] = [(1, "left"), (1, "right")]
-    for v in range(4, 2**ell):
-        if (v & 1) == ((v >> 1) & 1):
-            starts.append((v, None))
-    return starts
+    same_parity = [(v, None) for v in range(4, 2**ell) if (v & 1) == ((v >> 1) & 1)]
+    return [(1, "left"), (1, "right"), *same_parity]
 
 
 def check_zigzag_alternation(config: LabeledConfig) -> CheckReport:
@@ -161,15 +138,15 @@ def check_zigzag_alternation(config: LabeledConfig) -> CheckReport:
     ascending: c1 < c2 > c3 < ...; starts at a right child (or the root
     moving left) open descending.
     """
-    ell = full_layers(config)
+    labels = _labels(config, "zigzag")
+    ell = config.n_chips.bit_length()
     report = CheckReport("zigzag")
     for v, first_move in _maximal_zigzag_starts(ell):
         path = tree.zigzag_from(v, ell, first_move).vertices
         ascending = path[0] % 2 == 0 or first_move == "right"
         for a, b in zip(path, path[1:]):
-            ca, cb = config.label_at(a), config.label_at(b)
-            ok = ca < cb if ascending else ca > cb
-            if not ok:
+            ca, cb = labels[a], labels[b]
+            if not (ca < cb if ascending else ca > cb):
                 rel = "<" if ascending else ">"
                 report.add(a, f"expected chip {ca} at {a} {rel} chip {cb} at {b}")
             ascending = not ascending
@@ -190,48 +167,33 @@ def check_penultimate(config: LabeledConfig, mode: str = "strict") -> CheckRepor
     """Chips one layer above the bottom are extremes of their straight
     ancestors' subtrees, once the bottom layer is excluded.
 
-    For v on layer ell - 1 and any vertex u having v as a straight-left
-    descendant, the chip at v is the smallest chip in u's subtree above
-    the bottom layer (symmetrically largest on the straight-right side).
-    Modes: "strict" also evaluates the coinciding u = v case (trivially
-    true), "lenient" restricts to proper ancestors, and "literal" tests
-    the chip at u instead of the chip at v, which is the other possible
-    reading of the property; it fails on genuine stable configurations
-    with 3 or more layers and is kept for comparison only.
+    For v on layer ell - 1 and any proper ancestor u having v as a
+    straight-left descendant, the chip at v is the smallest chip in u's
+    subtree above the bottom layer (symmetrically largest on the
+    straight-right side).  "strict" and "lenient" both mean this: they
+    differ only in whether u = v is tested, and the chip at v is the only
+    chip of v's subtree above the bottom layer, so that case always holds.
+    "literal" tests the chip at u instead of the chip at v, which is the
+    other possible reading of the property; it fails on genuine stable
+    configurations with 3 or more layers and is kept for comparison only.
     """
     if mode not in PENULTIMATE_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {PENULTIMATE_MODES}")
-    ell = _layers_for(config, "penultimate")
-    mins, maxs = _subtree_extremes(config, ell - 1)  # bottom layer excluded
+    labels = _labels(config, "penultimate")
+    ell = config.n_chips.bit_length()
+    sub = _subtree_sorted(labels, ell - 1)  # bottom layer excluded
     report = CheckReport("penultimate")
     for v in range(2 ** (ell - 2), 2 ** (ell - 1)):
-        for left in (True, False):
-            ancestors = _straight_ancestors(v, left)
-            if mode != "lenient":
-                ancestors = [v] + ancestors
-            word = "smallest" if left else "largest"
-            for u in ancestors:
-                extreme = mins[u] if left else maxs[u]
+        for left, word, end in ((True, "smallest", 0), (False, "largest", -1)):
+            for u in _straight_ancestors(v, left):
                 probe = u if mode == "literal" else v
-                got = config.label_at(probe)
-                if got != extreme:
+                if labels[probe] != sub[u][end]:
                     report.add(
                         probe,
-                        f"chip {got} at vertex {probe} is not the {word} "
-                        f"above the bottom layer in the subtree at {u} (that is {extreme})",
+                        f"chip {labels[probe]} at vertex {probe} is not the {word} "
+                        f"above the bottom layer in the subtree at {u} (that is {sub[u][end]})",
                     )
     return report
-
-
-def _subtree_sorted_labels(config: LabeledConfig, ell: int) -> dict[int, list[int]]:
-    out: dict[int, list[int]] = {}
-    for v in range(2**ell - 1, 0, -1):
-        labels = [config.label_at(v)]
-        if tree.layer(v) < ell:
-            labels += out[2 * v] + out[2 * v + 1]
-            labels.sort()
-        out[v] = labels
-    return out
 
 
 def check_ballot(config: LabeledConfig) -> CheckReport:
@@ -241,8 +203,9 @@ def check_ballot(config: LabeledConfig) -> CheckReport:
     left child's subtree must be smaller than the i-th smallest chip of
     the right child's subtree, for all i.
     """
-    ell = full_layers(config)
-    sub = _subtree_sorted_labels(config, ell)
+    labels = _labels(config, "ballot")
+    ell = config.n_chips.bit_length()
+    sub = _subtree_sorted(labels, ell)
     report = CheckReport("ballot")
     for v in range(1, 2 ** (ell - 1)):
         left, right = sub[2 * v], sub[2 * v + 1]
@@ -264,20 +227,21 @@ def check_forbidden_order(config: LabeledConfig) -> CheckReport:
     of the smallest chip while the second-largest chip is simultaneously
     away from the parent of the largest chip.
     """
-    ell = _layers_for(config, "forbidden")
+    labels = _labels(config, "forbidden")
+    ell = config.n_chips.bit_length()
     report = CheckReport("forbidden")
     for s in range(2 ** (ell - 3), 2 ** (ell - 2)):
         vertices = [s, 2 * s, 2 * s + 1] + [4 * s + i for i in range(4)]
-        ranked = sorted(vertices, key=config.label_at)
+        ranked = sorted(vertices, key=labels.__getitem__)
         lo, lo2, hi2, hi = ranked[0], ranked[1], ranked[-2], ranked[-1]
         lo_ok = lo != s and lo >> 1 == lo2
         hi_ok = hi != s and hi >> 1 == hi2
         if not lo_ok and not hi_ok:
             report.add(
                 s,
-                f"subtree at {s} shows the excluded order: chip {config.label_at(lo2)} "
-                f"is not at the parent of chip {config.label_at(lo)} and chip "
-                f"{config.label_at(hi2)} is not at the parent of chip {config.label_at(hi)}",
+                f"subtree at {s} shows the excluded order: chip {labels[lo2]} "
+                f"is not at the parent of chip {labels[lo]} and chip "
+                f"{labels[hi2]} is not at the parent of chip {labels[hi]}",
             )
     return report
 
@@ -298,7 +262,7 @@ def relative_order_key(config: LabeledConfig, subtree_root: int, depth: int) -> 
         for v in row:
             if len(config.cells.get(v, [])) != 1:
                 raise ValueError(f"subtree at {subtree_root} is not fully occupied at vertex {v}")
-        levels.append([config.label_at(v) for v in row])
+        levels.append([config.cells[v][0] for v in row])
     rank = {lab: i + 1 for i, lab in enumerate(sorted(x for row in levels for x in row))}
     return ";".join(",".join(str(rank[x]) for x in row) for row in levels)
 

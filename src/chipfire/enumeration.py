@@ -514,9 +514,10 @@ def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, set[bytes], in
     )
     if not states:
         raise CorpusError(f"{path}: checkpoint frontier is empty")
-    return (
-        header["depth"],
-        set(states),
-        header.get("explored_states", 0),
-        header.get("max_frontier", len(states)),
-    )
+    # the checksum covers the body only, so a counter the header has must be checked here
+    explored = header.get("explored_states", 0)
+    max_seen = header.get("max_frontier", len(states))
+    for key, value in (("explored_states", explored), ("max_frontier", max_seen)):
+        if type(value) is not int:
+            raise CorpusError(f"{path}: line 1: header needs an integer {key!r}")
+    return header["depth"], set(states), explored, max_seen

@@ -90,8 +90,8 @@ class LabeledConfig:
 
 
 def initial_config(n_chips: int) -> LabeledConfig:
-    """All chips 1..n_chips stacked on the root."""
-    unlabeled._check_chips(n_chips)
+    """All chips 1..n_chips stacked on the root; at most unlabeled.MAX_GAME_CHIPS."""
+    unlabeled._check_game_chips(n_chips)
     return LabeledConfig(n_chips=n_chips, cells={1: list(range(1, n_chips + 1))})
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "root_fires_recursive",
     "total_fires",
     "simulate",
+    "MAX_GAME_CHIPS",
     "diff_root_fires",
     "diff_total_fires",
     "SEQUENCE_NAMES",
@@ -47,9 +48,21 @@ STRATEGIES = ("lowest-index-first", "random", "highest-layer-first")
 SEQUENCE_NAMES = ("f0", "F", "diff-f0", "diff-F")
 
 
+# The most chips a game is played with (simulate() and the labeled games).
+# A game of N chips keeps lists of 2^floor(log2(N + 1)) entries, here at
+# most 2^23; the closed forms take any N.
+MAX_GAME_CHIPS = 2**23 - 1
+
+
 def _check_chips(n_chips: int) -> None:
     if not isinstance(n_chips, int) or n_chips < 1:
         raise ValueError(f"number of chips must be a positive integer, got {n_chips!r}")
+
+
+def _check_game_chips(n_chips: int) -> None:
+    _check_chips(n_chips)
+    if n_chips > MAX_GAME_CHIPS:
+        raise ValueError(f"a game is played with at most {MAX_GAME_CHIPS} chips, got {n_chips}")
 
 
 def binary_digits(value: int) -> list[int]:
@@ -171,25 +184,20 @@ class UnlabeledState:
 
 
 def simulate(
-    n_chips: int,
-    strategy: str = "lowest-index-first",
-    seed: int | None = None,
-    step_cap: int | None = None,
-    validate: bool = False,
+    n_chips: int, strategy: str = "lowest-index-first", seed: int | None = None
 ) -> UnlabeledState:
     """Run the firing process to its stable configuration.
 
     `strategy` picks which fireable vertex goes next; by confluence the
     result never depends on it.  `random` draws uniformly from the
-    fireable set with a generator seeded by `seed`.  A step cap (default
-    4*F(N) + 16) turns a runaway loop into a hard error instead of a hang.
-    `validate` re-checks chip conservation after every fire (slow; for
-    tests).
+    fireable set with a generator seeded by `seed`.  A step cap of
+    4*F(N) + 16 turns a runaway loop into a hard error instead of a hang.
+    At most MAX_GAME_CHIPS chips are played with.
     """
-    _check_chips(n_chips)
+    _check_game_chips(n_chips)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    cap = step_cap if step_cap is not None else 4 * total_fires(n_chips) + 16
+    cap = 4 * total_fires(n_chips) + 16
     rng = random.Random(seed) if strategy == "random" else None
 
     # chips never pass layer n = floor(log2(N + 1)), whose vertices never fire,
@@ -240,8 +248,6 @@ def simulate(
             if cells[u] == 3:
                 push(u)
         steps += 1
-        if validate:
-            assert sum(cells) == n_chips, "chip conservation violated"
 
     return UnlabeledState(
         n_chips=n_chips,

@@ -1,0 +1,59 @@
+"""tools/bench_pairs.summarize: the statistics every BENCH file's claims rest on."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+# five pairs; pair 1 is a tie, which neither side wins
+PARENT = [10, 12, 11, 13, 14]
+CHANGE = [8, 12, 10, 9, 16]
+
+
+def runs(parent, change):
+    """Runs as bench_pairs keeps them: per pair the parent's run, then the change's."""
+    out = []
+    for pair, (p, c) in enumerate(zip(parent, change)):
+        out.append({"pair": pair, "side": "parent", "metrics": {"wall_s": p, "rate": p}})
+        out.append({"pair": pair, "side": "change", "metrics": {"wall_s": c, "rate": c}})
+    return out
+
+
+def test_medians_quartiles_and_ratio():
+    summary = bench_pairs.summarize(runs(PARENT, CHANGE), {"wall_s": "lower"})["wall_s"]
+    # sorted parent 10 11 12 13 14, change 8 9 10 12 16; quartiles interpolate
+    # at ranks 1.5 and 4.5 of 5
+    assert summary["parent"] == {"median": 12, "q1": 10.5, "q3": 13.5}
+    assert summary["change"] == {"median": 10, "q1": 8.5, "q3": 14.0}
+    assert summary["ratio"] == pytest.approx(10 / 12)
+    assert (summary["better"], summary["pairs"]) == ("lower", 5)
+
+
+def test_wins_follow_the_metric_direction_and_ties_count_for_neither():
+    summary = bench_pairs.summarize(runs(PARENT, CHANGE), {"wall_s": "lower", "rate": "higher"})
+    # lower wins pairs 0, 2 and 3; higher wins pair 4; pair 1 is tied
+    assert summary["wall_s"]["change_wins"] == 3
+    assert summary["rate"]["change_wins"] == 1
+    assert bench_pairs.summarize(runs(PARENT, PARENT), {"wall_s": "lower", "rate": "higher"}) == {
+        name: {
+            "parent": {"median": 12, "q1": 10.5, "q3": 13.5},
+            "change": {"median": 12, "q1": 10.5, "q3": 13.5},
+            "better": better,
+            "ratio": 1.0,
+            "change_wins": 0,
+            "pairs": 5,
+        }
+        for name, better in (("wall_s", "lower"), ("rate", "higher"))
+    }
+
+
+def test_a_single_pair_has_its_value_as_both_quartiles():
+    summary = bench_pairs.summarize(runs([4.0], [2.0]), {"wall_s": "lower"})["wall_s"]
+    assert summary["parent"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}
+    assert summary["change"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
+    assert (summary["ratio"], summary["change_wins"], summary["pairs"]) == (0.5, 1, 1)

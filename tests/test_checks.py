@@ -1,3 +1,9 @@
+import functools
+import hashlib
+import itertools
+import json
+import random
+
 import pytest
 
 from chipfire import checks, labeled
@@ -37,6 +43,12 @@ class TestPreconditions:
         assert checks.check_subtree_extremes(config).passed
         assert checks.check_zigzag_alternation(config).passed
         assert checks.check_ballot(config).passed
+
+    @pytest.mark.parametrize("name", checks.CHECKERS)
+    def test_zero_chips_are_refused(self, name):
+        # 0 = 2^0 - 1 chips on no vertex: zero layers, below every minimum
+        with pytest.raises(ValueError, match=f"{name} check needs at least"):
+            checks.CHECKERS[name](labeled.LabeledConfig(n_chips=0, cells={}))
 
     @pytest.mark.parametrize("name", ["anchors", "penultimate", "forbidden"])
     def test_checkers_refuse_exactly_below_their_minimum(self, name):
@@ -201,3 +213,45 @@ class TestOnSampledGames:
                     if ell >= checks.min_layers_for(name):
                         report = checker(config)
                         assert report.passed, (n_chips, policy, seed, name, report.violations)
+
+
+def _pinned_corpus():
+    """Every ell-3 labeling, 300 seeded ell-4 labelings, 100 ell-5 random-play
+    games, and four configurations outside the checkers' domain."""
+    configs = [
+        single_chip_config(dict(zip(range(1, 8), labels)))
+        for labels in itertools.permutations(range(1, 8))
+    ]
+    rng = random.Random(5444)
+    for _ in range(300):
+        labels = rng.sample(range(1, 16), 15)
+        configs.append(single_chip_config(dict(zip(range(1, 16), labels))))
+    configs += [labeled.run_policy(31, "random", seed=seed) for seed in range(100)]
+    configs += [
+        labeled.initial_config(7),  # unstable
+        labeled.run_policy(5),  # 5 is not 2^ell - 1
+        labeled.LabeledConfig(n_chips=3, cells={1: [1, 2], 2: [3]}),  # two chips on one vertex
+        single_chip_config({1: 1}),  # one layer: below every minimum but 1
+    ]
+    return configs
+
+
+def test_every_report_is_pinned():
+    """Each checker's report (or refusal) on every pinned configuration, hashed."""
+    calls = list(checks.CHECKERS.items()) + [
+        (f"penultimate/{mode}", functools.partial(checks.check_penultimate, mode=mode))
+        for mode in checks.PENULTIMATE_MODES
+    ]
+    results = []
+    for config in _pinned_corpus():
+        for name, checker in calls:
+            try:
+                report = checker(config)
+            except ValueError as exc:
+                results.append([name, str(exc)])
+            else:
+                found = [[v.vertex, v.detail] for v in report.violations]
+                results.append([name, report.passed, found])
+    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    assert len(results) == 5444 * 9
+    assert digest == "d461b31ade5d7b1a619d37f95a449dd5a9a36570548afa79ea1b44d577071a2d"

@@ -7,6 +7,7 @@ but argparse's own SystemExit(2): usage and input errors print one
 
 import contextlib
 import io
+import json
 import os
 import string
 from unittest import mock
@@ -38,7 +39,8 @@ def run(argv, max_ell=None):
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     """Paths the argv lists name: Z3 an ell-3 corpus, P a paused ell-3 checkpoint
-    (as the pinned --max-frontier 5 line writes it), junk a file in no known
+    (as the pinned --max-frontier 5 line writes it), P-<counter>-<value> copies
+    of P whose header counter is not an integer, junk a file in no known
     format, C, W and O fresh, and /nonexistent missing."""
     tmp = tmp_path_factory.mktemp("contract")
     paths = {
@@ -57,8 +59,24 @@ def files(tmp_path_factory):
     assert code == 4
     with open(paths["junk"], "w") as handle:
         handle.write("not a corpus\n")
+    head, body = open(paths["P"], "rb").read().split(b"\n", 1)
+    for name, (key, value) in FORGED.items():
+        paths[name] = str(tmp / f"{name}.ckpt")
+        header = {**json.loads(head), key: value}
+        open(paths[name], "wb").write(json.dumps(header).encode() + b"\n" + body)
     return paths
 
+
+# header counters that are not integers, by file name: each forged checkpoint must exit 3
+FORGED = {
+    f"P-{key}-{json.dumps(value)}": (key, value)
+    for key, value in [
+        ("explored_states", "abc"),
+        ("explored_states", True),
+        ("max_frontier", None),
+        ("max_frontier", [1]),
+    ]
+}
 
 # exit codes that held while the CLI still repeated the library's checks, and must hold now
 PINNED = [
@@ -122,6 +140,21 @@ def test_usage_errors_print_the_library_message(argv, call):
     with pytest.raises(ValueError) as info:
         call()
     assert run(argv.split()) == (2, "", f"error: {info.value}\n")
+
+
+@pytest.mark.parametrize("game", ["simulate", "simulate --labeled", "play"])
+def test_games_past_the_chip_bound_are_usage_errors(game):
+    # far past the bound, where a game with no bound fails at once instead of playing
+    chips = 99999999999999999999
+    message = f"a game is played with at most {unlabeled.MAX_GAME_CHIPS} chips, got {chips}"
+    assert run([*game.split(), "--chips", str(chips)]) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("forged", FORGED)
+def test_non_integer_checkpoint_counters_are_checkpoint_errors(files, forged):
+    key, path = FORGED[forged][0], files[forged]
+    message = f"{path}: line 1: header needs an integer {key!r}"
+    assert run(["enumerate", "--ell", "3", "--resume", path]) == (3, "", f"error: {message}\n")
 
 
 def test_negative_chips_get_the_chip_count_message():
@@ -213,7 +246,7 @@ enumerate_ = concat(
     flag("--max-seconds", mostly(st.sampled_from(["-1", "0", "5"]), st.just("x"))),
     flag("--checkpoint", mostly(st.just("W"), missing_or_dir)),
     flag("--checkpoint-every", st.sampled_from(["-1", "0", "60"])),
-    flag("--resume", st.sampled_from(["P", "W", "Z3", "junk", "/nonexistent", "tmp"])),
+    flag("--resume", st.sampled_from(["P", "W", "Z3", "junk", "/nonexistent", "tmp", *FORGED])),
     flag("--out", mostly(st.just("O"), missing_or_dir)),
     switch("--json"),
     switch("--progress"),

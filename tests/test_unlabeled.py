@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chipfire import unlabeled
+from chipfire import labeled, unlabeled
 from chipfire.tree import layer
 
 chip_counts = st.integers(min_value=1, max_value=10**9)
@@ -160,7 +160,7 @@ class TestSimulate:
 
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 100, 255, 256])
     def test_matches_closed_forms(self, n):
-        state = unlabeled.simulate(n, validate=True)
+        state = unlabeled.simulate(n)
         c = unlabeled.stable_chip_counts(n)
         f = unlabeled.fires_per_layer(n)
         assert state.cells == {v: c[layer(v) - 1] for v in range(1, 2 ** len(c))}
@@ -173,9 +173,26 @@ class TestSimulate:
         deepest = len(unlabeled.stable_chip_counts(64))
         assert max(layer(v) for v in state.cells) == deepest
 
-    def test_step_cap_raises(self):
-        with pytest.raises(RuntimeError):
-            unlabeled.simulate(7, step_cap=1)
+    def test_step_cap_raises(self, monkeypatch):
+        # with F(N) read as 0 the cap is 16 fires, far fewer than 100 chips need
+        monkeypatch.setattr(unlabeled, "total_fires", lambda n_chips: 0)
+        with pytest.raises(RuntimeError, match=r"step cap \(16\)"):
+            unlabeled.simulate(100)
+
+    def test_games_refuse_more_chips_than_the_bound(self, monkeypatch):
+        # a lowered bound, so no game near the real one is ever started
+        monkeypatch.setattr(unlabeled, "MAX_GAME_CHIPS", 100)
+        assert unlabeled.simulate(100).total() == 100
+        assert labeled.initial_config(100).n_chips == 100
+        with pytest.raises(ValueError, match="at most 100 chips, got 101"):
+            unlabeled.simulate(101)
+        with pytest.raises(ValueError, match="at most 100 chips, got 101"):
+            labeled.initial_config(101)
+
+    def test_the_bound_admits_the_benchmark_game_and_keeps_lists_small(self):
+        n = unlabeled.MAX_GAME_CHIPS
+        assert n >= 20_000  # the benchmark's longest unlabeled game
+        assert 1 << ((n + 1).bit_length() - 1) <= 2**23
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
