@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import insort
 from dataclasses import dataclass
 
 from . import unlabeled
@@ -123,34 +124,39 @@ def fire(config: LabeledConfig, v: int, triple: tuple[int, int, int]) -> Labeled
     return LabeledConfig(n_chips=config.n_chips, cells=cells)
 
 
-def _pick_triple(labels: list[int], policy: str, rng: random.Random | None) -> tuple[int, int, int]:
-    if policy == "min-triple":
-        return tuple(labels[:3])
-    if policy == "max-triple":
-        return tuple(labels[-3:])
-    return tuple(rng.sample(labels, 3))
-
-
 def run_policy_traced(
     n_chips: int, policy: str = "min-triple", seed: int | None = None
 ) -> tuple[LabeledConfig, dict[int, int]]:
-    """Like run_policy, but also returns the per-vertex fire tallies."""
+    """Like run_policy, but also returns the per-vertex fire tallies.
+
+    The labels ride on the unlabeled game's own lowest-index-first fires:
+    each vertex keeps one ascending label list, changed in place.
+    """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     rng = random.Random(seed) if policy == "random" else None
-    config = initial_config(n_chips)
-    fired: dict[int, int] = {}
-    cap = 4 * unlabeled.total_fires(n_chips) + 16
-    steps = 0
-    while not config.is_stable():
-        if steps >= cap:
-            raise RuntimeError(f"labeled game exceeded its step cap ({cap})")
-        v = min(u for u, labels in config.cells.items() if len(labels) >= 3)
-        triple = _pick_triple(config.cells[v], policy, rng)
-        config = fire(config, v, triple)
-        fired[v] = fired.get(v, 0) + 1
-        steps += 1
-    return config, dict(sorted(fired.items()))
+    counts, fired, fires = unlabeled._game(n_chips, "lowest-index-first", None)
+    cells: list[list[int]] = [[] for _ in counts]
+    cells[1] = list(range(1, n_chips + 1))
+    for v in fires:
+        here = cells[v]
+        if policy == "min-triple":
+            small, mid, large = here[:3]
+            del here[:3]
+        elif policy == "max-triple":
+            small, mid, large = here[-3:]
+            del here[-3:]
+        else:
+            # sampling indices draws what sampling the labels would
+            i, j, k = sorted(rng.sample(range(len(here)), 3))
+            small, mid, large = here[i], here[j], here[k]
+            del here[k], here[j], here[i]
+        # middle chip returns to the root via its self-loop
+        insort(cells[v >> 1 or 1], mid)
+        insort(cells[2 * v], small)
+        insort(cells[2 * v + 1], large)
+    config = LabeledConfig(n_chips=n_chips, cells={v: ls for v, ls in enumerate(cells) if ls})
+    return config, {v: k for v, k in enumerate(fired) if k}
 
 
 def run_policy(n_chips: int, policy: str = "min-triple", seed: int | None = None) -> LabeledConfig:

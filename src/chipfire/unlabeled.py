@@ -20,9 +20,11 @@ Arrays c and f are 0-indexed (entry k describes layer k + 1) throughout.
 
 from __future__ import annotations
 
+import collections
 import functools
 import heapq
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 __all__ = [
@@ -183,22 +185,20 @@ class UnlabeledState:
         return sum(self.cells.values())
 
 
-def simulate(
-    n_chips: int, strategy: str = "lowest-index-first", seed: int | None = None
-) -> UnlabeledState:
-    """Run the firing process to its stable configuration.
+def _game(
+    n_chips: int, strategy: str, rng: random.Random | None
+) -> tuple[list[int], list[int], Iterator[int]]:
+    """Set up a game of n_chips chips on the root: (counts, tallies, fires).
 
-    `strategy` picks which fireable vertex goes next; by confluence the
-    result never depends on it.  `random` draws uniformly from the
-    fireable set with a generator seeded by `seed`.  A step cap of
+    Iterating `fires` is the one game loop: it fires the vertex `strategy`
+    picks (`random` draws from `rng`), updates the per-vertex lists
+    `counts` and `tallies` in place and yields the vertex.  A step cap of
     4*F(N) + 16 turns a runaway loop into a hard error instead of a hang.
-    At most MAX_GAME_CHIPS chips are played with.
     """
     _check_game_chips(n_chips)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     cap = 4 * total_fires(n_chips) + 16
-    rng = random.Random(seed) if strategy == "random" else None
 
     # chips never pass layer n = floor(log2(N + 1)), whose vertices never fire,
     # so every vertex they reach is below 2^n
@@ -228,27 +228,45 @@ def simulate(
             queue[i], queue[-1] = queue[-1], queue[i]
             return queue.pop()
 
-    if n_chips >= 3:
-        push(1)
-    steps = 0
-    while queue:
-        if steps >= cap:
-            raise RuntimeError(
-                f"simulation exceeded its step cap ({cap}) for n_chips={n_chips}; "
-                "this indicates an internal error"
-            )
-        v = pop()
-        cells[v] -= 3
-        fired[v] += 1
-        if cells[v] >= 3:
-            push(v)
-        # self-loop: a root fire returns one chip to the root
-        for u in (v >> 1 or 1, 2 * v, 2 * v + 1):
-            cells[u] += 1
-            if cells[u] == 3:
-                push(u)
-        steps += 1
+    def fires() -> Iterator[int]:
+        if n_chips >= 3:
+            push(1)
+        steps = 0
+        while queue:
+            if steps >= cap:
+                raise RuntimeError(
+                    f"game exceeded its step cap ({cap}) for n_chips={n_chips}; "
+                    "this indicates an internal error"
+                )
+            v = pop()
+            cells[v] -= 3
+            fired[v] += 1
+            if cells[v] >= 3:
+                push(v)
+            # self-loop: a root fire returns one chip to the root
+            for u in (v >> 1 or 1, 2 * v, 2 * v + 1):
+                cells[u] += 1
+                if cells[u] == 3:
+                    push(u)
+            steps += 1
+            yield v
 
+    return cells, fired, fires()
+
+
+def simulate(
+    n_chips: int, strategy: str = "lowest-index-first", seed: int | None = None
+) -> UnlabeledState:
+    """Run the firing process to its stable configuration.
+
+    `strategy` picks which fireable vertex goes next; by confluence the
+    result never depends on it.  `random` draws uniformly from the
+    fireable set with a generator seeded by `seed`.  At most
+    MAX_GAME_CHIPS chips are played with.
+    """
+    rng = random.Random(seed) if strategy == "random" else None
+    cells, fired, fires = _game(n_chips, strategy, rng)
+    collections.deque(fires, maxlen=0)
     return UnlabeledState(
         n_chips=n_chips,
         cells={v: k for v, k in enumerate(cells) if k},

@@ -215,7 +215,7 @@ simulate = concat(
 )
 labeled_game = concat(
     st.sampled_from([["simulate", "--labeled"], ["play"]]),
-    required("--chips", integer(-5, 63)),
+    required("--chips", integer(-5, 1023)),
     flag("--policy", st.sampled_from(labeled.POLICIES)),
     flag("--seed", integer(-3, 3)),
 )
@@ -251,6 +251,13 @@ enumerate_ = concat(
     switch("--json"),
     switch("--progress"),
 )
+# a base that runs to the resume, so the drawn --resume file alone decides the exit code;
+# the flags above line up for that too rarely to reach the forged counters
+resume_only = concat(
+    st.just(["enumerate", "--ell", "3", "--workers", "1", "--checkpoint", "W"]),
+    required("--resume", st.sampled_from([*FORGED, "P", "W", "Z3", "junk", "tmp"])),
+    switch("--json"),
+)
 corpus_input = required(
     "--input",
     mostly(st.sampled_from(["Z3", "O"]), st.sampled_from(["P", "junk", "/nonexistent", "tmp"])),
@@ -278,6 +285,7 @@ COMMANDS = {
     "sequence": sequence,
     "bounds": bounds_,
     "enumerate": enumerate_,
+    "resume": resume_only,
     "extract-orders": extract,
     "check": check,
     "stray": stray,

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import os
+
 import pytest
 
 from chipfire import labeled, unlabeled
@@ -7,6 +11,18 @@ from chipfire.tree import layer
 def expected_shadow(n_chips):
     c = unlabeled.stable_chip_counts(n_chips)
     return {v: c[layer(v) - 1] for v in range(1, 2 ** len(c))}
+
+
+# labeled games of 65,535 chips take seconds each, so they run with the long tests
+DEEP = pytest.param(
+    65535,
+    marks=[
+        pytest.mark.long,
+        pytest.mark.skipif(
+            os.environ.get("CHIPFIRE_RUN_LONG") != "1", reason="set CHIPFIRE_RUN_LONG=1"
+        ),
+    ],
+)
 
 
 class TestConfig:
@@ -93,7 +109,7 @@ class TestRunPolicy:
             config = labeled.run_policy(3, policy, seed=0)
             assert config.cells == {1: [2], 2: [1], 3: [3]}
 
-    @pytest.mark.parametrize("n", [5, 7, 15, 31])
+    @pytest.mark.parametrize("n", [5, 7, 15, 31, 1023, 4095, DEEP])
     @pytest.mark.parametrize("policy", labeled.POLICIES)
     def test_shadow_and_tallies_match_unlabeled_game(self, n, policy):
         config, fired = labeled.run_policy_traced(n, policy, seed=11)
@@ -118,3 +134,16 @@ class TestRunPolicy:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             labeled.run_policy(5, "largest-first")
+
+    def test_every_game_is_pinned(self):
+        """The stable configuration and fire tallies of every policy, hashed,
+        for N = 1..200 and 1,023 (random at seeds 0 and 7)."""
+        games = [("min-triple", None), ("max-triple", None), ("random", 0), ("random", 7)]
+        digest = hashlib.sha256()
+        for n in [*range(1, 201), 1023]:
+            for policy, seed in games:
+                config, fired = labeled.run_policy_traced(n, policy, seed)
+                digest.update(config.canonical_json().encode())
+                digest.update(json.dumps(sorted(fired.items())).encode() + b"\n")
+        pinned = "f2ccab4e92d36fcb4cd85c1a5eaaeff345533d546e7b6772a20a52af5b1df511"
+        assert digest.hexdigest() == pinned

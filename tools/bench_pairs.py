@@ -10,7 +10,11 @@ change first in odd ones, so a host that drifts faster or slower favours
 neither side.  The extra workload ``enumerate-ell4`` runs the complete
 4-layer full search instead (``chipfire enumerate --ell 4 --workers 2
 --out F``) and records its wall time, the peak RSS of the main process and
-of the largest worker, the corpus header and the sha256 of its body.
+of the largest worker, the corpus header and the sha256 of its body.  The
+extra workload ``play-deep`` times ``chipfire play --chips N --policy P
+--seed 0`` in one process for N = 16,383 and 65,535 and every policy, and
+records each game's stdout sha256.  A game still running after --seconds
+is stopped and counted at --seconds, a lower bound on its time.
 
 The workload's runs, and per metric each side's median and quartiles, the
 ratio of the medians and the pairs the change won, are stored under the
@@ -30,6 +34,7 @@ import tempfile
 from pathlib import Path
 
 ELL4 = "enumerate-ell4"
+DEEP = "play-deep"
 
 # run in a fresh interpreter whose PYTHONPATH is the checkout's src/
 _ELL4_CHILD = """
@@ -51,14 +56,48 @@ print(json.dumps({
 }))
 """
 
+_DEEP_CHILD = """
+import contextlib, hashlib, io, json, signal, sys, time
+from chipfire import cli, labeled
+class Cut(BaseException):
+    pass
+def cut(signum, frame):
+    raise Cut
+signal.signal(signal.SIGALRM, cut)
+limit = float(sys.argv[1])
+metrics, stdout_sha256, cut_games, correct = {}, {}, [], True
+for n in (16383, 65535):
+    for policy in labeled.POLICIES:
+        name = f"wall_s.{n}.{policy}"
+        out = io.StringIO()
+        start = time.perf_counter()
+        signal.setitimer(signal.ITIMER_REAL, limit)
+        try:
+            with contextlib.redirect_stdout(out):
+                rc = cli.main(["play", "--chips", str(n), "--policy", policy, "--seed", "0"])
+            correct &= rc == 0
+            stdout_sha256[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        except Cut:
+            cut_games.append(name)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+        metrics[name] = min(time.perf_counter() - start, limit)
+print(json.dumps({
+    "correct": correct, "metrics": metrics, "cut": cut_games, "stdout_sha256": stdout_sha256,
+}))
+"""
+
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One run in one checkout: its result line, plus the machine line if any."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
     if workload == ELL4:
         with tempfile.TemporaryDirectory() as tmp:
-            env = {**os.environ, "PYTHONPATH": str(root / "src")}
             argv = [sys.executable, "-c", _ELL4_CHILD, str(Path(tmp) / "z4.jsonl")]
             done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
+    elif workload == DEEP:
+        argv = [sys.executable, "-c", _DEEP_CHILD, str(seconds)]
+        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     else:
         argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
         argv += ["--seconds", str(seconds), "--trace", "0"]
@@ -110,6 +149,12 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.workload == ELL4:
         better = {"wall_s": "lower", "main_rss_mb": "lower", "worker_rss_mb": "lower"}
+    elif args.workload == DEEP:
+        better = {
+            f"wall_s.{n}.{policy}": "lower"
+            for n in (16383, 65535)
+            for policy in ("min-triple", "max-triple", "random")
+        }
     else:
         spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -130,10 +175,12 @@ def main(argv: list[str] | None = None) -> int:
 
     bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     bench.setdefault("workloads", {})[args.workload] = {
-        "command": (
-            "enumerate --ell 4 --workers 2 --out F"
-            if args.workload == ELL4
-            else f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0"
+        "command": {
+            ELL4: "enumerate --ell 4 --workers 2 --out F",
+            DEEP: f"play --chips N --policy P --seed 0, stopped after {args.seconds:g} s",
+        }.get(
+            args.workload,
+            f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0",
         ),
         "seeds": [args.seed + i for i in range(args.pairs)],
         "machine": machine or {"nproc": os.cpu_count(), "python": platform.python_version()},
