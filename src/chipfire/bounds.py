@@ -137,24 +137,25 @@ def _descending_parts(ell: int, drop: int) -> list[int]:
     ]
 
 
+def _zigzag_factor(ell: int, free: int, drop: int) -> int:
+    if ell < 4:
+        raise ValueError("zigzag factors need ell >= 4")
+    parts = _descending_parts(ell, drop)
+    return euler_zigzag(ell) * binomial(free, ell) * multinomial(free - ell, parts)
+
+
 def zigzag_subtree_factor(ell: int) -> int:
     """Per-level factor of the zigzag bound for a subtree with 2^ell - 1 chips.
 
     Orders on the root zigzag times ways to choose its chips times ways to
     distribute the remaining chips into the hanging subtrees.
     """
-    if ell < 4:
-        raise ValueError("zigzag factors need ell >= 4")
-    top = 2**ell - 3 - ell
-    return euler_zigzag(ell) * binomial(2**ell - 3, ell) * multinomial(top, _descending_parts(ell, 2))
+    return _zigzag_factor(ell, 2**ell - 3, 2)
 
 
 def zigzag_tree_factor(ell: int) -> int:
     """Zigzag factor for the whole tree, where four chip positions are forced."""
-    if ell < 4:
-        raise ValueError("zigzag factors need ell >= 4")
-    top = 2**ell - 5 - ell
-    return euler_zigzag(ell) * binomial(2**ell - 5, ell) * multinomial(top, _descending_parts(ell, 3))
+    return _zigzag_factor(ell, 2**ell - 5, 3)
 
 
 def zigzag_bound(ell: int) -> tuple[int, int]:

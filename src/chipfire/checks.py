@@ -53,8 +53,8 @@ def min_layers_for(property_name: str) -> int:
     return {"anchors": 2, "penultimate": 2, "forbidden": 3}.get(property_name, 1)
 
 
-def _labels(config: LabeledConfig, property_name: str) -> list[int]:
-    """The chip on each vertex, indexed by vertex (entry 0 unused).
+def _labels(config: LabeledConfig, property_name: str) -> tuple[list[int], int]:
+    """The chip on each vertex, indexed by vertex (entry 0 unused), and ell.
 
     Refuses anything outside the checkers' domain: N = 2^ell - 1 chips,
     stable, one chip on each vertex of the first ell layers, and at least
@@ -71,7 +71,7 @@ def _labels(config: LabeledConfig, property_name: str) -> list[int]:
     needed = min_layers_for(property_name)
     if ell < needed:
         raise ValueError(f"{property_name} check needs at least {needed} layers")
-    return [0] + [config.cells[v][0] for v in range(1, n + 1)]
+    return [0] + [config.cells[v][0] for v in range(1, n + 1)], ell
 
 
 def _subtree_sorted(labels: list[int], ell: int) -> list[list[int]]:
@@ -89,9 +89,8 @@ def check_anchors(config: LabeledConfig) -> CheckReport:
     for ell >= 3, chip 2 sits at the parent of chip 1's vertex and chip
     N - 1 at the parent of chip N's vertex.
     """
-    labels = _labels(config, "anchors")
+    labels, ell = _labels(config, "anchors")
     n = config.n_chips
-    ell = n.bit_length()
     report = CheckReport("anchors")
     targets = [(1, 2 ** (ell - 1)), (n, 2**ell - 1)]
     if ell >= 3:
@@ -106,8 +105,7 @@ def check_anchors(config: LabeledConfig) -> CheckReport:
 def check_subtree_extremes(config: LabeledConfig) -> CheckReport:
     """Each subtree keeps its smallest chip bottom-straight-left and its
     largest bottom-straight-right."""
-    labels = _labels(config, "extremes")
-    ell = config.n_chips.bit_length()
+    labels, ell = _labels(config, "extremes")
     sub = _subtree_sorted(labels, ell)
     report = CheckReport("extremes")
     for v in range(1, 2**ell):
@@ -138,8 +136,7 @@ def check_zigzag_alternation(config: LabeledConfig) -> CheckReport:
     ascending: c1 < c2 > c3 < ...; starts at a right child (or the root
     moving left) open descending.
     """
-    labels = _labels(config, "zigzag")
-    ell = config.n_chips.bit_length()
+    labels, ell = _labels(config, "zigzag")
     report = CheckReport("zigzag")
     for v, first_move in _maximal_zigzag_starts(ell):
         path = tree.zigzag_from(v, ell, first_move).vertices
@@ -179,8 +176,7 @@ def check_penultimate(config: LabeledConfig, mode: str = "strict") -> CheckRepor
     """
     if mode not in PENULTIMATE_MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {PENULTIMATE_MODES}")
-    labels = _labels(config, "penultimate")
-    ell = config.n_chips.bit_length()
+    labels, ell = _labels(config, "penultimate")
     sub = _subtree_sorted(labels, ell - 1)  # bottom layer excluded
     report = CheckReport("penultimate")
     for v in range(2 ** (ell - 2), 2 ** (ell - 1)):
@@ -203,8 +199,7 @@ def check_ballot(config: LabeledConfig) -> CheckReport:
     left child's subtree must be smaller than the i-th smallest chip of
     the right child's subtree, for all i.
     """
-    labels = _labels(config, "ballot")
-    ell = config.n_chips.bit_length()
+    labels, ell = _labels(config, "ballot")
     sub = _subtree_sorted(labels, ell)
     report = CheckReport("ballot")
     for v in range(1, 2 ** (ell - 1)):
@@ -227,8 +222,7 @@ def check_forbidden_order(config: LabeledConfig) -> CheckReport:
     of the smallest chip while the second-largest chip is simultaneously
     away from the parent of the largest chip.
     """
-    labels = _labels(config, "forbidden")
-    ell = config.n_chips.bit_length()
+    labels, ell = _labels(config, "forbidden")
     report = CheckReport("forbidden")
     for s in range(2 ** (ell - 3), 2 ** (ell - 2)):
         vertices = [s, 2 * s, 2 * s + 1] + [4 * s + i for i in range(4)]

@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import bounds as bounds_mod
 from . import checks, enumeration, labeled, unlabeled
@@ -233,18 +235,7 @@ def cmd_enumerate(args) -> int:
         except OSError as exc:
             return _fail(f"cannot write {args.out}: {exc}")
     if args.json:
-        print(
-            _dump(
-                {
-                    "ell": result.ell,
-                    "count": result.count,
-                    "mode": result.meta["mode"],
-                    "explored_states": result.meta["explored_states"],
-                    "max_frontier": result.meta["max_frontier"],
-                    "out": args.out,
-                }
-            )
-        )
+        print(_dump({"ell": result.ell, "count": result.count, **result.meta, "out": args.out}))
     else:
         print(f"Z_{result.ell} = {result.count}")
         if args.mode == "scheduled":
@@ -280,67 +271,52 @@ def cmd_check(args) -> int:
     stable_set = enumeration.load(args.input)
     ell = stable_set.ell
 
-    wanted = list(checks.CHECKERS) if args.property == "all" else [args.property]
-    runnable = []
-    for name in wanted:
+    # the text report; under --json only the JSON object is printed
+    lines = []
+    checkers = {}
+    for name in checks.CHECKERS if args.property == "all" else [args.property]:
         needed = checks.min_layers_for(name)
         if ell < needed:
             if args.property != "all":
                 return _fail(f"property {name} needs at least {needed} layers, corpus has {ell}")
-            print(f"skip {name}: needs at least {needed} layers, corpus has {ell}")
-            continue
-        runnable.append(name)
+            lines.append(f"skip {name}: needs at least {needed} layers, corpus has {ell}")
+        elif name == "penultimate":
+            checkers[name] = functools.partial(checks.check_penultimate, mode=args.mode)
+        else:
+            checkers[name] = checks.CHECKERS[name]
 
-    summary: dict[str, list[int]] = {name: [0, 0] for name in runnable}
+    summary = {name: {"pass": 0, "fail": 0} for name in checkers}
     failures = []
     for index, config in enumerate(stable_set.configs):
-        for name in runnable:
+        for name, checker in checkers.items():
             try:
-                if name == "penultimate":
-                    report = checks.check_penultimate(config, mode=args.mode)
-                else:
-                    report = checks.CHECKERS[name](config)
+                report = checker(config)
             except ValueError as exc:
                 return _fail(f"config {index} is outside the checkers' domain: {exc}")
-            if report.passed:
-                summary[name][0] += 1
-                if args.verbose:
-                    print(f"config {index} {name} PASS")
-            else:
-                summary[name][1] += 1
-                for violation in report.violations:
-                    failures.append(
-                        {
-                            "config": index,
-                            "property": name,
-                            "vertex": violation.vertex,
-                            "detail": violation.detail,
-                        }
-                    )
-                    print(
-                        f"config {index} {name} FAIL vertex {violation.vertex}: "
-                        f"{violation.detail}"
-                    )
+            summary[name]["pass" if report.passed else "fail"] += 1
+            if report.passed and args.verbose:
+                lines.append(f"config {index} {name} PASS")
+            for violation in report.violations:
+                failures.append({"config": index, "property": name, **asdict(violation)})
+                lines.append(
+                    f"config {index} {name} FAIL vertex {violation.vertex}: {violation.detail}"
+                )
     all_pass = not failures
     if args.json:
-        print(
-            _dump(
-                {
-                    "input": args.input,
-                    "ell": ell,
-                    "configs": stable_set.count,
-                    "summary": {
-                        name: {"pass": ok, "fail": bad} for name, (ok, bad) in summary.items()
-                    },
-                    "failures": failures,
-                    "all_pass": all_pass,
-                }
-            )
-        )
+        result = {
+            "input": args.input,
+            "ell": ell,
+            "configs": stable_set.count,
+            "summary": summary,
+            "failures": failures,
+            "all_pass": all_pass,
+        }
+        print(_dump(result))
     else:
-        for name, (ok, bad) in summary.items():
-            print(f"{name}: {ok}/{ok + bad} pass")
-        print("all pass" if all_pass else f"failures {len(failures)}")
+        for name, c in summary.items():
+            lines.append(f"{name}: {c['pass']}/{c['pass'] + c['fail']} pass")
+        lines.append("all pass" if all_pass else f"failures {len(failures)}")
+        print("\n".join(lines))
     return EXIT_OK if all_pass else EXIT_CHECK_FAILED
 
 
@@ -433,9 +409,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+        return code
     except ValueError as exc:  # a usage or input error the library refused; CorpusError is one
         return _fail(str(exc))
+    except BrokenPipeError:
+        # the reader left; what is still buffered goes nowhere instead of failing at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return _fail("stdout was closed before the output was written")
 
 
 if __name__ == "__main__":

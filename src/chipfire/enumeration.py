@@ -50,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Collection, Iterable, Iterator
 
 from . import unlabeled
+from .checks import relative_order_key
 from .labeled import LabeledConfig
 
 __all__ = [
@@ -100,6 +101,7 @@ class StableSet:
 
     ell: int
     configs: list[LabeledConfig]
+    # mode, explored_states and max_frontier, in the order `enumerate --json` prints them
     meta: dict = field(default_factory=dict)
 
     @property
@@ -164,32 +166,31 @@ def _fire_vector(state: bytes) -> list[int] | None:
     return fires[:size]
 
 
-def _expand_batch(
-    args: tuple[Collection[bytes], str, int, list[int] | None],
-) -> tuple[set[bytes], list[bytes]]:
-    """Expand states that all sit at `depth`: their successors, and the stable ones.
+def _check_fire_vectors(states: Iterable[bytes], depth: int, budgets: list[int]) -> None:
+    """Raise unless every state's fire vector accounts for exactly `depth`
+    fires, none over its vertex's budget."""
+    for state in states:
+        fires = _fire_vector(state)
+        if fires is None or sum(fires) != depth or any(map(int.__gt__, fires, budgets)):
+            raise AssertionError(
+                f"state {state.hex()} at depth {depth} has fire vector {fires}, "
+                f"budgets {budgets}"
+            )
 
-    In full mode the successors are mirror representatives.  With
-    `budgets` (per-vertex fire budgets), every state's fire vector must
-    first account for exactly `depth` fires, none over budget.
+
+def _expand_batch(args: tuple[Collection[bytes], str, int]) -> set[bytes]:
+    """The successors of states that all sit at `depth`, below the stabilization depth.
+
+    In full mode the successors are mirror representatives.  Every path
+    takes F(N) fires, so a stable state here cannot be reached: it raises.
     """
-    states, mode, depth, budgets = args
-    if budgets is not None:
-        for state in states:
-            fires = _fire_vector(state)
-            if fires is None or sum(fires) != depth or any(map(int.__gt__, fires, budgets)):
-                raise AssertionError(
-                    f"state {state.hex()} at depth {depth} has fire vector {fires}, "
-                    f"budgets {budgets}"
-                )
+    states, mode, depth = args
     successors: set[bytes] = set()
-    stable: list[bytes] = []
     for state in states:
         cells = _cells_of(state)
         fireable = [v for v, labels in cells.items() if len(labels) >= 3]
         if not fireable:
-            stable.append(state)
-            continue
+            raise AssertionError(f"stable state {state.hex()} at depth {depth}")
         if mode == "scheduled":
             fireable = [min(fireable)]
         for v in fireable:
@@ -204,16 +205,14 @@ def _expand_batch(
     if mode == "full":
         # after the local dedup: each state is generated about 15 times
         successors = {m if m < s else s for s in successors for m in (_mirror(s),)}
-    return successors, stable
+    return successors
 
 
 def _unpack(packed: bytes, n_chips: int) -> Iterator[bytes]:
     return (packed[i : i + n_chips] for i in range(0, len(packed), n_chips))
 
 
-def _expand_packed(
-    args: tuple[bytes, int, str, int, list[int] | None],
-) -> tuple[bytes, list[bytes]]:
+def _expand_packed(args: tuple[bytes, int, str, int]) -> bytes:
     """_expand_batch in a worker process, with the states packed into one bytes object.
 
     One object pickles without a per-state memo entry, and the main
@@ -221,10 +220,8 @@ def _expand_packed(
     states that another batch already produced are freed at once instead
     of piling up and fragmenting the main process's heap.
     """
-    packed, n_chips, mode, depth, budgets = args
-    states = list(_unpack(packed, n_chips))
-    successors, stable = _expand_batch((states, mode, depth, budgets))
-    return b"".join(successors), stable
+    packed, n_chips, mode, depth = args
+    return b"".join(_expand_batch((list(_unpack(packed, n_chips)), mode, depth)))
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +245,11 @@ def enumerate_stable(
     given) if `max_seconds` or `max_frontier` (in unreduced states) is
     exceeded; pass the checkpoint to `resume_path` to continue.  With
     `workers` > 1, every level is expanded in a pool of at most one
-    process per CPU.  For ell <= 3, where it is cheap, the fire vector of
-    every expanded state is checked, in workers and after a resume too.
-    A resumed frontier that breaks an invariant of the search raises
-    CorpusError.
+    process per CPU.  Every path stabilizes after exactly F(2^ell - 1)
+    fires, so the level at that depth is the stable set.  For ell <= 3,
+    where it is cheap, the fire vector of every state on every level, the
+    last one included, is checked, after a resume too.  A resumed
+    frontier that breaks an invariant of the search raises CorpusError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -277,7 +275,6 @@ def enumerate_stable(
         depth, frontier, explored, max_seen = 0, {bytes([1]) * n_chips}, 0, 1
     size = _orbit_count(frontier, mode)
 
-    stable_states: Collection[bytes] = []
     started = time.monotonic()
     last_checkpoint = started
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -288,7 +285,7 @@ def enumerate_stable(
         return EnumerationPaused(reason, checkpoint_path, depth, size)
 
     try:
-        while frontier:
+        while True:
             if max_seconds is not None and time.monotonic() - started > max_seconds:
                 raise pause("time budget exhausted")
             if max_frontier is not None and size > max_frontier:
@@ -306,35 +303,32 @@ def enumerate_stable(
                     file=sys.stderr,
                     flush=True,
                 )
+            if budgets is not None:
+                _check_fire_vectors(frontier, depth, budgets)
+            if depth == target_depth:
+                break
 
             if pool is not None:
                 work = list(frontier)
                 chunk = max(1, len(work) // (workers * 8))
                 batches = [
-                    (b"".join(work[i : i + chunk]), n_chips, mode, depth, budgets)
+                    (b"".join(work[i : i + chunk]), n_chips, mode, depth)
                     for i in range(0, len(work), chunk)
                 ]
-                next_frontier, stable = set(), []
-                for packed, stab in pool.map(_expand_packed, batches):
+                next_frontier = set()
+                for packed in pool.map(_expand_packed, batches):
                     next_frontier.update(_unpack(packed, n_chips))
-                    stable += stab
             else:
-                next_frontier, stable = _expand_batch((frontier, mode, depth, budgets))
+                next_frontier = _expand_batch((frontier, mode, depth))
             explored += size
-
-            # raised, not asserted: python -O must not resume a forged frontier
-            if stable and depth != target_depth:
-                raise AssertionError(
-                    f"stable states found at depth {depth}, expected {target_depth}"
-                )
-            if stable and next_frontier:
-                raise AssertionError("stability must be reached by every path at once")
-            if not stable and depth >= target_depth:
-                raise AssertionError("search ran past the fixed stabilization depth")
-            stable_states, frontier = stable, next_frontier
+            frontier = next_frontier
             size = _orbit_count(frontier, mode)
-            max_seen = max(max_seen, size or 1)
+            max_seen = max(max_seen, size)
             depth += 1
+        explored += size
+        # raised, not asserted: python -O must not resume a forged frontier
+        if any(len(labels) >= 3 for s in frontier for labels in _cells_of(s).values()):
+            raise AssertionError("search ran past the fixed stabilization depth")
     except MemoryError:
         raise pause("out of memory") from None
     except AssertionError as exc:
@@ -346,13 +340,13 @@ def enumerate_stable(
             pool.shutdown()
 
     if mode == "full":
-        stable_states = {m for s in stable_states for m in (s, _mirror(s))}
-    configs = [LabeledConfig(n_chips, dict(sorted(_cells_of(s).items()))) for s in stable_states]
+        frontier = {m for s in frontier for m in (s, _mirror(s))}
+    configs = [LabeledConfig(n_chips, dict(sorted(_cells_of(s).items()))) for s in frontier]
     configs.sort(key=LabeledConfig.canonical_json)
     return StableSet(
         ell=ell,
         configs=configs,
-        meta={"explored_states": explored, "max_frontier": max_seen, "mode": mode},
+        meta={"mode": mode, "explored_states": explored, "max_frontier": max_seen},
     )
 
 
@@ -399,8 +393,9 @@ def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **
     """Read a file written by _write_records: its header and its body lines, parsed.
 
     Checks format, version, the `expected` header values, the integer
-    fields, the line count and the checksum.  Every failure, an unreadable
-    file included, raises CorpusError naming the line where there is one.
+    fields and the counters the header has, the line count and the
+    checksum.  Every failure, an unreadable file included, raises
+    CorpusError naming the line where there is one.
     """
     try:
         with open(path, "rb") as handle:
@@ -421,7 +416,9 @@ def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **
     for key, value in expected.items():
         if header.get(key) != value:
             raise CorpusError(f"{path}: file has {key}={header.get(key)}, requested {key}={value}")
-    for key in (count_key, *int_keys):
+    # the checksum covers the body only; a search counter may be absent
+    counters = [key for key in ("explored_states", "max_frontier") if key in header]
+    for key in (count_key, *int_keys, *counters):
         if type(header.get(key)) is not int:
             raise CorpusError(f"{path}: line 1: header needs an integer {key!r}")
     lines = body.splitlines()
@@ -456,13 +453,18 @@ def save(stable_set: StableSet, path: str) -> None:
 def load(path: str) -> StableSet:
     """Read a corpus written by save(), validating structure, count, and checksum."""
     header, configs = _read_records(path, CORPUS_FORMAT, LabeledConfig.from_json, "count", "ell")
+    ell = header["ell"]
+    for line, config in enumerate(configs, start=2):
+        # bit_length first, so that 2**ell is only computed for a small ell
+        if config.n_chips.bit_length() != ell or config.n_chips != 2**ell - 1:
+            raise CorpusError(f"{path}: line {line}: {config.n_chips} chips, not 2^{ell} - 1")
     return StableSet(
-        ell=header["ell"],
+        ell=ell,
         configs=configs,
         meta={
+            "mode": header.get("mode", "full"),
             "explored_states": header.get("explored_states", 0),
             "max_frontier": header.get("max_frontier", 0),
-            "mode": header.get("mode", "full"),
         },
     )
 
@@ -514,10 +516,9 @@ def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, set[bytes], in
     )
     if not states:
         raise CorpusError(f"{path}: checkpoint frontier is empty")
-    # the checksum covers the body only, so a counter the header has must be checked here
+    target = unlabeled.total_fires(n_chips)
+    if not 0 <= header["depth"] <= target:
+        raise CorpusError(f"{path}: line 1: depth {header['depth']} is outside 0..{target}")
     explored = header.get("explored_states", 0)
     max_seen = header.get("max_frontier", len(states))
-    for key, value in (("explored_states", explored), ("max_frontier", max_seen)):
-        if type(value) is not int:
-            raise CorpusError(f"{path}: line 1: header needs an integer {key!r}")
     return header["depth"], set(states), explored, max_seen

@@ -49,6 +49,9 @@ class LabeledConfig:
             if labels != sorted(labels):
                 raise ValueError(f"labels at vertex {v} are not ascending: {labels}")
             seen.extend(labels)
+        # checked before the range is built: a forged n_chips must not size it
+        if type(self.n_chips) is not int or self.n_chips != len(seen):
+            raise ValueError(f"n_chips {self.n_chips!r} is not the label count {len(seen)}")
         if sorted(seen) != list(range(1, self.n_chips + 1)):
             raise ValueError("labels are not exactly 1..n_chips")
 

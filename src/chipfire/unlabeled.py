@@ -25,7 +25,7 @@ import functools
 import heapq
 import random
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 __all__ = [
     "UnlabeledProfile",
@@ -147,15 +147,7 @@ class UnlabeledProfile:
     total_fires: int
 
     def to_dict(self) -> dict:
-        return {
-            "n_chips": self.n_chips,
-            "n": self.n,
-            "digits": self.digits,
-            "chip_counts": self.chip_counts,
-            "fire_counts": self.fire_counts,
-            "root_fires": self.root_fires,
-            "total_fires": self.total_fires,
-        }
+        return asdict(self)
 
 
 def profile(n_chips: int) -> UnlabeledProfile:
@@ -168,7 +160,7 @@ def profile(n_chips: int) -> UnlabeledProfile:
         digits=digits,
         chip_counts=stable_chip_counts(n_chips),
         fire_counts=f,
-        root_fires=f[0] if f else 0,
+        root_fires=f[0],
         total_fires=total_fires(n_chips),
     )
 

@@ -272,6 +272,24 @@ class TestEnumerateAndCorpus:
         assert code == 0
         assert "skip forbidden" in out
 
+    @pytest.mark.parametrize("flag", ["--json", "--verbose"])
+    def test_literal_mode_prints_one_json_document(self, capsys, tmp_path, flag):
+        # --json prints the report object alone: no skip, PASS or FAIL line comes before it
+        corpus = str(tmp_path / "z3.jsonl")
+        run_cli(capsys, "enumerate", "--ell", "3", "--out", corpus)
+        code, out = run_cli(capsys, "check", "--input", corpus, "--mode", "literal", flag, "--json")
+        assert code == 1
+        report = json.loads(out)
+        assert report["summary"]["penultimate"] == {"pass": 0, "fail": 6}
+        assert len(report["failures"]) == 12 and not report["all_pass"]
+
+    def test_skipped_properties_are_absent_from_the_json_summary(self, capsys, tmp_path):
+        corpus = str(tmp_path / "z2.jsonl")
+        run_cli(capsys, "enumerate", "--ell", "2", "--out", corpus)
+        code, out = run_cli(capsys, "check", "--input", corpus, "--json")
+        assert code == 0
+        assert "forbidden" not in json.loads(out)["summary"]
+
     def test_pause_resume_exit_codes(self, capsys, tmp_path):
         ckpt = str(tmp_path / "z3.ckpt")
         code, _ = run_cli(
@@ -387,6 +405,21 @@ def _forge_depth_shifted_by_two(path):
     enumeration.write_checkpoint(path, 3, "full", depth + 2, frontier, explored, max_seen)
 
 
+def _forge_stable_state_off_its_shadow(path):
+    # stable, the smaller of its mirror pair, at depth F(7) = 6, but two chips on vertex 4
+    # where every stable 7-chip configuration has one: only its fire vector gives it away
+    state = bytes([4, 4, 2, 1, 5, 3, 6])
+    assert state < enumeration._mirror(state)
+    enumeration.write_checkpoint(path, 3, "full", unlabeled.total_fires(7), {state}, 84, 15)
+
+
+def _forge_depth_past_the_stabilization_depth(path):
+    enumeration.enumerate_stable(3, checkpoint_path=path, checkpoint_every=0)
+    depth, frontier, explored, max_seen = enumeration.read_checkpoint(path, 3, "full")
+    assert depth == unlabeled.total_fires(7)
+    enumeration.write_checkpoint(path, 3, "full", depth + 1, frontier, explored, max_seen)
+
+
 @pytest.mark.parametrize(
     "forge",
     [
@@ -398,6 +431,8 @@ def _forge_depth_shifted_by_two(path):
         _forge_unreachable_representative,
         _forge_version_one,
         _forge_larger_state_of_a_mirror_pair,
+        _forge_stable_state_off_its_shadow,
+        _forge_depth_past_the_stabilization_depth,
     ],
 )
 def test_malformed_checkpoint_is_checkpoint_error(capsys, tmp_path, forge):
@@ -430,6 +465,23 @@ def test_forged_depth_is_refused_with_asserts_stripped(tmp_path):
     )
     assert proc.returncode == 3, proc.stderr
     assert "search ran past the fixed stabilization depth" in proc.stderr
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback():
+    # about 1.6 MB of output, more than a pipe holds, so a write fails once the reader leaves
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chipfire.cli", "sequence", "--name", "F", "--count", "200000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(chipfire.__file__))},
+    )
+    assert proc.stdout.readline() == "0\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestByteReproducibility:

@@ -6,6 +6,7 @@ but argparse's own SystemExit(2): usage and input errors print one
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -40,8 +41,10 @@ def run(argv, max_ell=None):
 def files(tmp_path_factory):
     """Paths the argv lists name: Z3 an ell-3 corpus, P a paused ell-3 checkpoint
     (as the pinned --max-frontier 5 line writes it), P-<counter>-<value> copies
-    of P whose header counter is not an integer, junk a file in no known
-    format, C, W and O fresh, and /nonexistent missing."""
+    of P whose header counter is not an integer, Z3-ell-2 a copy of Z3 whose
+    header says 2 layers, Z3-n_chips-1e20 one whose first configuration claims
+    10^20 chips, junk a file in no known format, C, W and O fresh, and
+    /nonexistent missing."""
     tmp = tmp_path_factory.mktemp("contract")
     paths = {
         "C": str(tmp / "c.ckpt"),
@@ -59,6 +62,15 @@ def files(tmp_path_factory):
     assert code == 4
     with open(paths["junk"], "w") as handle:
         handle.write("not a corpus\n")
+    # the checksum covers the body only: the first copy keeps it, the second is given a new one
+    head, body = open(paths["Z3"], "rb").read().split(b"\n", 1)
+    header = {**json.loads(head), "ell": 2}
+    paths["Z3-ell-2"] = str(tmp / "z3-ell-2.jsonl")
+    open(paths["Z3-ell-2"], "wb").write(json.dumps(header).encode() + b"\n" + body)
+    body = body.replace(b'"n_chips":7', b'"n_chips":100000000000000000000', 1)
+    header = {**json.loads(head), "sha256": hashlib.sha256(body).hexdigest()}
+    paths["Z3-n_chips-1e20"] = str(tmp / "z3-n_chips-1e20.jsonl")
+    open(paths["Z3-n_chips-1e20"], "wb").write(json.dumps(header).encode() + b"\n" + body)
     head, body = open(paths["P"], "rb").read().split(b"\n", 1)
     for name, (key, value) in FORGED.items():
         paths[name] = str(tmp / f"{name}.ckpt")
@@ -113,6 +125,11 @@ PINNED = [
     (2, "check --input P"),
     (0, "simulate --chips 3 --seed -1 --strategy random"),
     (0, "fires --chips 99999999999999999999"),
+    # corpora whose header ell or n_chips the checksum does not cover
+    (2, "check --input Z3-ell-2"),
+    (2, "extract-orders --input Z3-ell-2 --depth 2"),
+    (2, "check --input Z3-n_chips-1e20"),
+    (2, "extract-orders --input Z3-n_chips-1e20 --depth 2"),
 ]
 
 
@@ -260,7 +277,10 @@ resume_only = concat(
 )
 corpus_input = required(
     "--input",
-    mostly(st.sampled_from(["Z3", "O"]), st.sampled_from(["P", "junk", "/nonexistent", "tmp"])),
+    mostly(
+        st.sampled_from(["Z3", "O"]),
+        st.sampled_from(["P", "junk", "/nonexistent", "tmp", "Z3-ell-2", "Z3-n_chips-1e20"]),
+    ),
 )
 extract = concat(
     st.just(["extract-orders"]), corpus_input, required("--depth", integer(-2, 5)), switch("--json")
@@ -297,8 +317,10 @@ COMMANDS = {
 @given(data=st.data(), max_ell=max_ells)
 def test_every_invocation_keeps_the_exit_code_contract(files, command, data, max_ell):
     argv = [files.get(token, token) for token in data.draw(COMMANDS[command], label="argv")]
-    code, _, err = run(argv, max_ell)
+    code, out, err = run(argv, max_ell)
     assert code in range(5), (code, err)
     assert "Traceback" not in err
     if code in (2, 3):
         assert "error: " in err
+    if "--json" in argv and code in (0, 1):
+        json.loads(out)  # one JSON document and nothing else

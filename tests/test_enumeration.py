@@ -162,11 +162,20 @@ class TestFireVector:
 
     def test_budget_check(self):
         fired_root_once = bytes([2, 1, 3, 1, 1, 1, 1])
-        enumeration._expand_batch(([fired_root_once], "full", 1, [0, 1] + [0] * 6))
+        enumeration._check_fire_vectors([fired_root_once], 1, [0, 1] + [0] * 6)
         with pytest.raises(AssertionError, match="depth 1"):
-            enumeration._expand_batch(([fired_root_once], "full", 1, [0] * 8))
+            enumeration._check_fire_vectors([fired_root_once], 1, [0] * 8)
         with pytest.raises(AssertionError, match="depth 3"):
-            enumeration._expand_batch(([fired_root_once], "full", 3, [9] * 8))
+            enumeration._check_fire_vectors([fired_root_once], 3, [9] * 8)
+
+    @pytest.mark.parametrize("mode", enumeration.MODES)
+    def test_a_stable_state_is_never_expanded(self, mode):
+        # every path stabilizes at F(N) = 6 fires, so the search expands depths 0..5 only
+        fired_root_once = bytes([2, 1, 3, 1, 1, 1, 1])
+        stable = bytes([4, 2, 5, 1, 6, 3, 7])
+        assert enumeration._expand_batch(([fired_root_once], mode, 1))
+        with pytest.raises(AssertionError, match=f"stable state {stable.hex()} at depth 5"):
+            enumeration._expand_batch(([fired_root_once, stable], mode, 5))
 
 
 class TestMirrorQuotient:
@@ -313,6 +322,40 @@ class TestPersistence:
         path = str(tmp_path / "z3.jsonl")
         enumeration.save(stable3, path)
         assert json.loads(open(path).readline())["version"] == 1
+
+    @pytest.mark.parametrize("ell", [2, 4])
+    def test_configurations_must_have_the_headers_chip_count(self, stable3, tmp_path, ell):
+        # the checksum covers the body only, so a header ell off by one still matches it
+        path = str(tmp_path / "z3.jsonl")
+        enumeration.save(stable3, path)
+        head, body = open(path, "rb").read().split(b"\n", 1)
+        header = {**json.loads(head), "ell": ell}
+        open(path, "wb").write(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(enumeration.CorpusError, match=f"line 2: 7 chips, not 2\\^{ell} - 1"):
+            enumeration.load(path)
+
+    @pytest.mark.parametrize("n_chips", [10**20, 8, "7", True])
+    def test_n_chips_must_be_the_label_count(self, stable3, tmp_path, n_chips):
+        # a forged n_chips is refused before it sizes anything
+        path = str(tmp_path / "z3.jsonl")
+        enumeration.save(stable3, path)
+        lines = open(path).read().splitlines()
+        lines[1] = lines[1].replace('"n_chips":7', f'"n_chips":{json.dumps(n_chips)}')
+        body = "".join(line + "\n" for line in lines[1:])
+        header = {**json.loads(lines[0]), "sha256": hashlib.sha256(body.encode()).hexdigest()}
+        open(path, "w").write(json.dumps(header) + "\n" + body)
+        with pytest.raises(enumeration.CorpusError, match="line 2: .*not the label count 7"):
+            enumeration.load(path)
+
+    @pytest.mark.parametrize("key,value", [("explored_states", "abc"), ("max_frontier", None)])
+    def test_corpus_counters_must_be_integers(self, stable3, tmp_path, key, value):
+        path = str(tmp_path / "z3.jsonl")
+        enumeration.save(stable3, path)
+        head, body = open(path, "rb").read().split(b"\n", 1)
+        header = {**json.loads(head), key: value}
+        open(path, "wb").write(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(enumeration.CorpusError, match=f"header needs an integer '{key}'"):
+            enumeration.load(path)
 
     def test_not_a_corpus(self, tmp_path):
         path = str(tmp_path / "junk.jsonl")
