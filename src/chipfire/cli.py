@@ -10,7 +10,7 @@ written.
 
 The subcommands leave the library's own argument checks to the library:
 main() turns any ValueError it raises (CorpusError is one) into a single
-`error: <message>` line and exit 2.
+`error: <message>` line and exit 2, and a closed output stream into exit 2.
 """
 
 from __future__ import annotations
@@ -130,6 +130,10 @@ def cmd_bounds(args) -> int:
             sys.set_int_max_str_digits(limit)
 
 
+# the table's value columns, named as in the --json rows and the CSV header
+_TABLE_COLUMNS = ("naive_z", "zigzag_z", "ballot_z")
+
+
 def _bounds(args) -> int:
     if args.table is None and args.ell is None:
         return _fail("either --ell or --table is required")
@@ -145,27 +149,15 @@ def _bounds(args) -> int:
     if args.table is not None:
         rows = bounds_mod.compare_table(range(lo, hi + 1))
         if args.json:
-            print(
-                _dump(
-                    {
-                        "rows": [
-                            {
-                                "ell": r.ell,
-                                "naive_z": r.naive_z,
-                                "zigzag_z": r.zigzag_z,
-                                "ballot_z": r.ballot_z,
-                                "flags": r.flags(),
-                            }
-                            for r in rows
-                        ],
-                        "conditional": ["ballot"],
-                    }
-                )
-            )
+            out = [
+                {"ell": r.ell, **{c: getattr(r, c) for c in _TABLE_COLUMNS}, "flags": r.flags()}
+                for r in rows
+            ]
+            print(_dump({"rows": out, "conditional": ["ballot"]}))
             return EXIT_OK
-        body = [[str(r.ell), fmt(r.naive_z), fmt(r.zigzag_z), fmt(r.ballot_z)] for r in rows]
+        body = [[str(r.ell), *(fmt(getattr(r, c)) for c in _TABLE_COLUMNS)] for r in rows]
         if args.csv:
-            for row in [["ell", "naive_z", "zigzag_z", "ballot_z"], *body]:
+            for row in [["ell", *_TABLE_COLUMNS], *body]:
                 print(",".join(row))
         else:
             cells = [["ell", "naive", "zigzag", "ballot (conditional)"], *body]
@@ -227,13 +219,8 @@ def cmd_enumerate(args) -> int:
     except enumeration.EnumerationPaused as exc:
         print(f"paused: {exc}", file=sys.stderr)
         return EXIT_PAUSED
-    except OSError as exc:  # writing a checkpoint failed
-        return _fail(f"cannot write checkpoint: {exc}", EXIT_CHECKPOINT)
     if args.out:
-        try:
-            enumeration.save(result, args.out)
-        except OSError as exc:
-            return _fail(f"cannot write {args.out}: {exc}")
+        enumeration.save(result, args.out)
     if args.json:
         print(_dump({"ell": result.ell, "count": result.count, **result.meta, "out": args.out}))
     else:
@@ -333,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fires", help="closed-form fire counts and stable chip counts")
     p.add_argument("--chips", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_fires)
 
     p = sub.add_parser("simulate", help="run the firing process to its stable configuration")
@@ -342,14 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--labeled", action="store_true", help="play the labeled game instead")
     p.add_argument("--policy", choices=labeled.POLICIES, default="min-triple")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("play", help="play a labeled game with a triple-choice policy")
     p.add_argument("--chips", type=int, required=True)
     p.add_argument("--policy", choices=labeled.POLICIES, default="min-triple")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_play)
 
     p = sub.add_parser("enumerate", help="enumerate all reachable stable configurations")
@@ -363,13 +347,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-seconds", type=float, help="pause (exit 4) after this much time")
     p.add_argument("--max-frontier", type=int, help="pause (exit 4) if a level grows past this")
     p.add_argument("--progress", action="store_true", help="report progress on stderr")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("extract-orders", help="distinct subtree orders in a stable-set corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_extract_orders)
 
     p = sub.add_parser("check", help="run property checkers over a stable-set corpus")
@@ -382,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="reading of the penultimate-layer property",
     )
     p.add_argument("--verbose", action="store_true", help="print per-config PASS lines too")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bounds", help="exact bounds on stable-configuration counts")
@@ -393,31 +374,40 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exact", action="store_true", help="print exact integers")
     group.add_argument("--sci", action="store_true", help="print 2-significant-digit notation")
     p.add_argument("--csv", action="store_true")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_bounds)
 
     p = sub.add_parser("sequence", help="integer sequences of the firing counts")
     p.add_argument("--name", choices=unlabeled.SEQUENCE_NAMES, required=True)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--csv", action="store_true", help="emit m,value rows")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_sequence)
 
+    for p in sub.choices.values():  # last, so --help lists it after each command's own options
+        p.add_argument("--json", action="store_true")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    for name in ("stdout", "stderr"):
+        # a stream closed before the start is None, and print(file=None) writes to stdout
+        if getattr(sys, name) is None:
+            setattr(sys, name, open(os.devnull, "w"))
     args = build_parser().parse_args(argv)
     try:
-        code = args.func(args)
+        try:
+            code = args.func(args)
+        except ValueError as exc:  # a usage or input error the library refused; CorpusError is one
+            code = _fail(str(exc))
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
-    except ValueError as exc:  # a usage or input error the library refused; CorpusError is one
-        return _fail(str(exc))
     except BrokenPipeError:
-        # the reader left; what is still buffered goes nowhere instead of failing at exit
+        # a reader left; what is still buffered goes nowhere instead of failing at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return _fail("stdout was closed before the output was written")
+        try:
+            return _fail("stdout was closed before the output was written")
+        except BrokenPipeError:  # stderr's reader left, before or with stdout's
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -78,7 +78,7 @@ _CHUNK_LINES = 1 << 16
 
 
 class CorpusError(ValueError):
-    """A stable-set or checkpoint file failed validation."""
+    """A stable-set or checkpoint file could not be read, written or validated."""
 
 
 class EnumerationPaused(RuntimeError):
@@ -357,8 +357,6 @@ def extract_subtree_orders(stable_set: StableSet, depth: int) -> set[str]:
     ell - depth + 1 (so its bottom coincides with the tree's bottom layer)
     and collects the canonical order signatures.
     """
-    from .checks import relative_order_key
-
     ell = stable_set.ell
     if not 1 <= depth <= ell:
         raise ValueError(f"depth must be in 1..{ell}, got {depth}")
@@ -383,10 +381,13 @@ def _write_records(path: str, fmt: str, fields: dict, lines: Iterable[str]) -> N
         digest.update(chunks[-1])
     header = {"format": fmt, "version": VERSIONS[fmt], **fields, "sha256": digest.hexdigest()}
     tmp = path + ".tmp"
-    with open(tmp, "wb") as handle:
-        handle.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-        handle.writelines(chunks)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            handle.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+            handle.writelines(chunks)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise CorpusError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **expected):

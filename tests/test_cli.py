@@ -9,7 +9,7 @@ import pytest
 
 import chipfire
 from chipfire import bounds, enumeration, unlabeled
-from chipfire.cli import main
+from chipfire.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +136,35 @@ class TestBounds:
         code, out = run_cli(capsys, "bounds", "--table", "4..4", "--exact", "--csv")
         assert code == 0
         assert out == "ell,naive_z,zigzag_z,ballot_z\n4,39916800,693000,186300\n"
+
+    @pytest.mark.parametrize(
+        "argv,digest",
+        [
+            ("--table 4..9", "2fbc57884a9d9258803fa7cf34918a831f9e358dc76b2142cb78dd9b0f9c7d95"),
+            (
+                "--table 4..9 --csv",
+                "bed2480955dc4746ce332fedce0339bd3b2464c0670ffaf9c617d67e88928281",
+            ),
+            (
+                "--table 4..9 --exact --csv",
+                "f1152bbf765b6d628ca11bd97434e7f4c60ff149067ae928db614ed741704370",
+            ),
+            (
+                "--table 4..9 --json",
+                "847793ae4c98fbc88454767d44f4f8a12ba354114d809d4b1e11262e459ef642",
+            ),
+            ("--ell 5", "2c7325f044b3b8a55af73b9e8986ed1b997c4f6a6bae158005675b6c4255abe9"),
+            ("--ell 5 --json", "6c3d8e29eb2e790875e9e1563f8190063e766f9e45097f25e6d388f348e9c577"),
+            (
+                "--ell 3 --method ballot",
+                "4a3c68d1b1aad6455b1686c775fbfb900fd41673a602954bb85ae06776aade18",
+            ),
+        ],
+    )
+    def test_stdout_is_pinned(self, capsys, argv, digest):
+        code, out = run_cli(capsys, "bounds", *argv.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_json_includes_flags(self, capsys):
         code, out = run_cli(capsys, "bounds", "--table", "5..5", "--json")
@@ -322,15 +351,18 @@ class TestEnumerateAndCorpus:
         assert code == 3
 
     def test_failed_checkpoint_write_is_checkpoint_error(self, capsys, tmp_path, monkeypatch):
-        def fail(*args):
-            raise OSError(28, "No space left on device")
-
-        monkeypatch.setattr(enumeration, "write_checkpoint", fail)
+        monkeypatch.setattr(enumeration.os, "replace", _no_space_left)
         ckpt = str(tmp_path / "z3.ckpt")
-        code, _ = run_cli(
-            capsys, "enumerate", "--ell", "3", "--max-frontier", "5", "--checkpoint", ckpt
-        )
+        code = main(["enumerate", "--ell", "3", "--max-frontier", "5", "--checkpoint", ckpt])
         assert code == 3
+        assert capsys.readouterr().err == f"error: cannot write {ckpt}: No space left on device\n"
+
+    def test_failed_out_write_is_input_error(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(enumeration.os, "replace", _no_space_left)
+        out = str(tmp_path / "z3.jsonl")
+        assert main(["enumerate", "--ell", "3", "--out", out]) == 2
+        message = f"error: cannot write {out}: No space left on device\n"
+        assert capsys.readouterr() == ("", message)
 
     @pytest.mark.parametrize("where", ["missing-dir/z3.jsonl", "."])
     def test_unwritable_out_is_refused_before_the_search(
@@ -353,6 +385,10 @@ class TestEnumerateAndCorpus:
         assert code == 0
         payload = json.loads(out)
         assert payload["count"] == 1 and payload["mode"] == "full"
+
+
+def _no_space_left(*args):
+    raise OSError(28, "No space left on device")
 
 
 def _paused_checkpoint(path):
@@ -482,6 +518,86 @@ def test_a_closed_stdout_exits_2_without_a_traceback():
     assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(chipfire.__file__))}
+
+
+def _run_with_closed_fd(fd, *argv):
+    """Run the CLI in a child process whose file descriptor `fd` is closed from the start."""
+    return subprocess.run(
+        [sys.executable, "-m", "chipfire.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=_CHILD_ENV,
+        preexec_fn=lambda: os.close(fd),
+        timeout=120,
+    )
+
+
+def test_a_closed_stderr_stops_the_search_without_a_traceback():
+    argv = ["enumerate", "--ell", "4", "--mode", "scheduled", "--progress"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chipfire.cli", *argv],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=_CHILD_ENV,
+    )
+    first = proc.stderr.readline()
+    proc.stderr.close()
+    # the next progress line fails long before the 23-level search could end
+    assert proc.wait(timeout=120) == 2
+    assert first.startswith("depth 0/23: ") and "Traceback" not in first
+
+
+def test_an_error_with_stderr_closed_from_the_start_is_not_printed_on_stdout():
+    proc = _run_with_closed_fd(2, "fires", "--chips", "0", "--json")
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+def test_progress_with_stderr_closed_from_the_start_leaves_one_json_document():
+    proc = _run_with_closed_fd(2, "enumerate", "--ell", "2", "--progress", "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["count"] == 1
+
+
+def test_a_stdout_closed_from_the_start_is_not_an_error():
+    proc = _run_with_closed_fd(1, "fires", "--chips", "3")
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_each_subcommand_keeps_its_options_in_order():
+    # what --help lists, without its version-dependent headings
+    subparsers = next(a for a in build_parser()._actions if a.choices)
+    options = {
+        name: [s for action in sub._actions for s in action.option_strings]
+        for name, sub in subparsers.choices.items()
+    }
+    helps = ["-h", "--help"]
+    assert options == {
+        "fires": [*helps, "--chips", "--json"],
+        "simulate": [*helps, "--chips", "--strategy", "--seed", "--labeled", "--policy", "--json"],
+        "play": [*helps, "--chips", "--policy", "--seed", "--json"],
+        "enumerate": [
+            *helps,
+            "--ell",
+            "--mode",
+            "--out",
+            "--resume",
+            "--workers",
+            "--checkpoint",
+            "--checkpoint-every",
+            "--max-seconds",
+            "--max-frontier",
+            "--progress",
+            "--json",
+        ],
+        "extract-orders": [*helps, "--input", "--depth", "--json"],
+        "check": [*helps, "--input", "--property", "--mode", "--verbose", "--json"],
+        "bounds": [*helps, "--ell", "--method", "--table", "--exact", "--sci", "--csv", "--json"],
+        "sequence": [*helps, "--name", "--count", "--csv", "--json"],
+    }
 
 
 class TestByteReproducibility:
