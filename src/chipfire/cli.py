@@ -10,7 +10,8 @@ written.
 
 The subcommands leave the library's own argument checks to the library:
 main() turns any ValueError it raises (CorpusError is one) into a single
-`error: <message>` line and exit 2, and a closed output stream into exit 2.
+`error: <message>` line and exit 2, and a closed output stream or an
+unwritable stderr into exit 2.
 """
 
 from __future__ import annotations
@@ -38,8 +39,19 @@ def _dump(obj) -> str:
 
 
 def _fail(message: str, code: int = EXIT_USAGE) -> int:
-    print(f"error: {message}", file=sys.stderr)
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # stderr's reader left, or stderr cannot be written at all
+        _discard(sys.stderr)
+        return EXIT_USAGE
     return code
+
+
+def _discard(stream) -> None:
+    """Point `stream` at devnull: what it still buffers goes nowhere instead of failing at exit."""
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, stream.fileno())
+    os.close(null)
 
 
 def _cannot_write(path: str) -> bool:
@@ -400,14 +412,9 @@ def main(argv: list[str] | None = None) -> int:
             code = _fail(str(exc))
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
-    except BrokenPipeError:
-        # a reader left; what is still buffered goes nowhere instead of failing at exit
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        try:
-            return _fail("stdout was closed before the output was written")
-        except BrokenPipeError:  # stderr's reader left, before or with stdout's
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
-            return EXIT_USAGE
+    except BrokenPipeError:  # a reader left: stdout's, or stderr's, which _fail then meets
+        _discard(sys.stdout)
+        return _fail("stdout was closed before the output was written")
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ checkpoints have a version of their own.
 from __future__ import annotations
 
 import binascii
+import contextlib
 import hashlib
 import itertools
 import json
@@ -178,6 +179,11 @@ def _check_fire_vectors(states: Iterable[bytes], depth: int, budgets: list[int])
             )
 
 
+def _fireable(state: bytes) -> list[int]:
+    """The vertices of `state` that hold three chips or more."""
+    return [v for v in set(state) if state.count(v) >= 3]
+
+
 def _expand_batch(args: tuple[Collection[bytes], str, int]) -> set[bytes]:
     """The successors of states that all sit at `depth`, below the stabilization depth.
 
@@ -186,9 +192,9 @@ def _expand_batch(args: tuple[Collection[bytes], str, int]) -> set[bytes]:
     """
     states, mode, depth = args
     successors: set[bytes] = set()
+    add = successors.add
     for state in states:
-        cells = _cells_of(state)
-        fireable = [v for v, labels in cells.items() if len(labels) >= 3]
+        fireable = _fireable(state)
         if not fireable:
             raise AssertionError(f"stable state {state.hex()} at depth {depth}")
         if mode == "scheduled":
@@ -196,12 +202,18 @@ def _expand_batch(args: tuple[Collection[bytes], str, int]) -> set[bytes]:
         for v in fireable:
             left, right = 2 * v, 2 * v + 1
             up = v >> 1 if v > 1 else 1
-            for a, b, c in itertools.combinations(cells[v], 3):
-                nxt = bytearray(state)
-                nxt[a - 1] = left
-                nxt[b - 1] = up
-                nxt[c - 1] = right
-                successors.add(bytes(nxt))
+            chips, i = [], state.find(v)
+            while i >= 0:
+                chips.append(i)
+                i = state.find(v, i + 1)
+            # one buffer per vertex: each triple moves its chips, then puts them back
+            nxt = bytearray(state)
+            for a, b, c in itertools.combinations(chips, 3):
+                nxt[a] = left
+                nxt[b] = up
+                nxt[c] = right
+                add(bytes(nxt))
+                nxt[a] = nxt[b] = nxt[c] = v
     if mode == "full":
         # after the local dedup: each state is generated about 15 times
         successors = {m if m < s else s for s in successors for m in (_mirror(s),)}
@@ -269,6 +281,7 @@ def enumerate_stable(
         per_layer = unlabeled.fires_per_layer(n_chips)
         budgets = [0] + [per_layer[v.bit_length() - 1] for v in range(1, n_chips + 1)]
 
+    frontier: Collection[bytes]  # a resumed frontier stays the sorted list it was read as
     if resume_path is not None:
         depth, frontier, explored, max_seen = read_checkpoint(resume_path, ell, mode)
     else:
@@ -309,7 +322,9 @@ def enumerate_stable(
                 break
 
             if pool is not None:
-                work = list(frontier)
+                # neighbours in byte order share their low-label chips and many
+                # successors, so contiguous batches dedup those in the worker
+                work = sorted(frontier)
                 chunk = max(1, len(work) // (workers * 8))
                 batches = [
                     (b"".join(work[i : i + chunk]), n_chips, mode, depth)
@@ -327,7 +342,7 @@ def enumerate_stable(
             depth += 1
         explored += size
         # raised, not asserted: python -O must not resume a forged frontier
-        if any(len(labels) >= 3 for s in frontier for labels in _cells_of(s).values()):
+        if any(map(_fireable, frontier)):
             raise AssertionError("search ran past the fixed stabilization depth")
     except MemoryError:
         raise pause("out of memory") from None
@@ -387,6 +402,8 @@ def _write_records(path: str, fmt: str, fields: dict, lines: Iterable[str]) -> N
             handle.writelines(chunks)
         os.replace(tmp, path)
     except OSError as exc:
+        with contextlib.suppress(OSError):  # a partial file, if the write got that far
+            os.remove(tmp)
         raise CorpusError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
@@ -475,7 +492,7 @@ def write_checkpoint(
     ell: int,
     mode: str,
     depth: int,
-    frontier: set[bytes],
+    frontier: Collection[bytes],
     explored: int,
     max_seen: int,
 ) -> None:
@@ -492,14 +509,18 @@ def write_checkpoint(
         "explored_states": explored,
         "max_frontier": max_seen,
     }
-    # states have one length, so their byte order is the order of their hex
+    # states have one length, so their byte order is the order of their hex; a
+    # resumed frontier is already sorted, which sorted() passes over in linear time
     _write_records(path, CHECKPOINT_FORMAT, fields, map(bytes.hex, sorted(frontier)))
 
 
-def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, set[bytes], int, int]:
+def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, list[bytes], int, int]:
     """Read a checkpoint written by write_checkpoint(): depth, frontier, explored, max_seen.
 
-    In full mode every state must be the smaller of its mirror pair.
+    The frontier is the body's states in their order, which must be
+    strictly ascending, as write_checkpoint() leaves it: a repeated state
+    would be counted twice.  In full mode every state must be the smaller
+    of its mirror pair.
     """
     n_chips = 2**ell - 1
     vertices = bytes(range(1, n_chips + 1))
@@ -517,9 +538,12 @@ def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, set[bytes], in
     )
     if not states:
         raise CorpusError(f"{path}: checkpoint frontier is empty")
+    for line, (before, state) in enumerate(itertools.pairwise(states), start=3):
+        if state <= before:
+            raise CorpusError(f"{path}: line {line}: state is not above the one before it")
     target = unlabeled.total_fires(n_chips)
     if not 0 <= header["depth"] <= target:
         raise CorpusError(f"{path}: line 1: depth {header['depth']} is outside 0..{target}")
     explored = header.get("explored_states", 0)
     max_seen = header.get("max_frontier", len(states))
-    return header["depth"], set(states), explored, max_seen
+    return header["depth"], states, explored, max_seen

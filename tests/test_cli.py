@@ -1,5 +1,6 @@
 import decimal
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -356,6 +357,7 @@ class TestEnumerateAndCorpus:
         code = main(["enumerate", "--ell", "3", "--max-frontier", "5", "--checkpoint", ckpt])
         assert code == 3
         assert capsys.readouterr().err == f"error: cannot write {ckpt}: No space left on device\n"
+        assert os.listdir(tmp_path) == []  # no z3.ckpt.tmp either
 
     def test_failed_out_write_is_input_error(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(enumeration.os, "replace", _no_space_left)
@@ -363,6 +365,20 @@ class TestEnumerateAndCorpus:
         assert main(["enumerate", "--ell", "3", "--out", out]) == 2
         message = f"error: cannot write {out}: No space left on device\n"
         assert capsys.readouterr() == ("", message)
+        assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize(
+        "flag,argv,code",
+        [("--out", [], 2), ("--checkpoint", ["--max-frontier", "5"], 3)],
+    )
+    def test_a_write_that_fails_midway_leaves_no_partial_file(
+        self, capsys, tmp_path, monkeypatch, flag, argv, code
+    ):
+        monkeypatch.setattr(enumeration, "open", _FullDisk, raising=False)
+        path = str(tmp_path / "z3")
+        assert main(["enumerate", "--ell", "3", *argv, flag, path]) == code
+        assert capsys.readouterr().err == f"error: cannot write {path}: No space left on device\n"
+        assert os.listdir(tmp_path) == []
 
     @pytest.mark.parametrize("where", ["missing-dir/z3.jsonl", "."])
     def test_unwritable_out_is_refused_before_the_search(
@@ -389,6 +405,14 @@ class TestEnumerateAndCorpus:
 
 def _no_space_left(*args):
     raise OSError(28, "No space left on device")
+
+
+class _FullDisk(io.FileIO):
+    """A file on a full disk: the first byte of a write lands, then the write fails."""
+
+    def write(self, data):
+        super().write(data[:1])
+        _no_space_left()
 
 
 def _paused_checkpoint(path):
@@ -480,6 +504,28 @@ def test_malformed_checkpoint_is_checkpoint_error(capsys, tmp_path, forge):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("mode", enumeration.MODES)
+@pytest.mark.parametrize("forgery", ["repeated", "swapped"])
+def test_a_checkpoint_body_out_of_order_is_checkpoint_error(capsys, tmp_path, mode, forgery):
+    # the forged body gets its own checksum, so only the order rule can refuse it
+    ckpt = str(tmp_path / "z3.ckpt")
+    with pytest.raises(enumeration.EnumerationPaused):
+        enumeration.enumerate_stable(3, mode=mode, max_frontier=5, checkpoint_path=ckpt)
+    head, body = open(ckpt, "rb").read().split(b"\n", 1)
+    lines = body.decode().splitlines()
+    assert len(lines) >= 3 and lines == sorted(set(lines))
+    if forgery == "repeated":
+        lines[2] = lines[1]
+    else:
+        lines[1], lines[2] = lines[2], lines[1]
+    fields = {k: v for k, v in json.loads(head).items() if k not in ("format", "version", "sha256")}
+    enumeration._write_records(ckpt, enumeration.CHECKPOINT_FORMAT, fields, lines)
+    code = main(["enumerate", "--ell", "3", "--mode", mode, "--resume", ckpt])
+    assert code == 3
+    message = f"error: {ckpt}: line 4: state is not above the one before it\n"
+    assert capsys.readouterr() == ("", message)
+
+
 def test_forged_depth_is_refused_with_asserts_stripped(tmp_path):
     # a frontier at depth 4 that claims to sit at the stabilization depth; python -O
     # strips assert statements, so the search's invariants must be raised explicitly
@@ -560,6 +606,19 @@ def test_progress_with_stderr_closed_from_the_start_leaves_one_json_document():
     proc = _run_with_closed_fd(2, "enumerate", "--ell", "2", "--progress", "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["count"] == 1
+
+
+def test_an_error_with_a_read_only_stderr_exits_2_without_a_traceback():
+    # fd 2 is open but cannot be written: the error line fails with EBADF
+    with open(os.devnull, "rb") as read_only:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chipfire.cli", "fires", "--chips", "0", "--json"],
+            stdout=subprocess.PIPE,
+            stderr=read_only,
+            env=_CHILD_ENV,
+            timeout=120,
+        )
+    assert (proc.returncode, proc.stdout) == (2, b"")
 
 
 def test_a_stdout_closed_from_the_start_is_not_an_error():

@@ -178,6 +178,39 @@ class TestFireVector:
             enumeration._expand_batch(([fired_root_once, stable], mode, 5))
 
 
+# the frontier sizes the search keeps (representatives in full mode) at depths 0, 1, ...
+KERNEL_LEVELS = {
+    (3, "full"): [1, 9, 20, 6, 8, 4],
+    (3, "scheduled"): [1, 15, 36, 10, 8, 6],
+    (4, "full"): [1, 49, 1052, 8340, 31168],
+    (4, "scheduled"): [1, 91, 2068, 16590, 51968],
+}
+KERNEL_DIGESTS = {
+    (3, "full"): "ccc186b4340ea01133ba4a60eedc347360011ac725df098e088008d491c28f1c",
+    (3, "scheduled"): "1176ba6ef41e87507cbbece97b16a0df599c89f0ce0a33b2792c9d7e6b717d70",
+    (4, "full"): "41d3305e4f763df1c3f92ab37fd29ea4114e2840de123610366f9964580111d7",
+    (4, "scheduled"): "61a48fe7eee9857771fc00186f7ed17435a01de1c2ae07432cb4b66a13699f88",
+}
+
+
+@pytest.mark.parametrize("ell,mode", KERNEL_LEVELS)
+def test_every_states_successors_are_pinned(ell, mode):
+    """Each state's successor set, as one expansion returns it, hashed level by level."""
+    frontier = {bytes([1]) * (2**ell - 1)}
+    digest = hashlib.sha256()
+    sizes = []
+    for depth in range(len(KERNEL_LEVELS[ell, mode])):
+        sizes.append(len(frontier))
+        level = set()
+        for state in sorted(frontier):
+            successors = enumeration._expand_batch(([state], mode, depth))
+            digest.update(state + b":" + b"".join(sorted(successors)) + b"\n")
+            level |= successors
+        frontier = level
+    assert sizes == KERNEL_LEVELS[ell, mode]
+    assert digest.hexdigest() == KERNEL_DIGESTS[ell, mode]
+
+
 class TestMirrorQuotient:
     def test_paused_frontier_is_the_unreduced_bfs_frontier(self, tmp_path):
         ckpt = tmp_path / "z4.ckpt"
@@ -427,7 +460,7 @@ class TestCheckpointing:
             lines = [mirrored.hex(), fired.hex()]
             enumeration._write_records(ckpt, enumeration.CHECKPOINT_FORMAT, fields, lines)
             if mode == "scheduled":
-                assert enumeration.read_checkpoint(ckpt, 3, mode)[1] == {mirrored, fired}
+                assert enumeration.read_checkpoint(ckpt, 3, mode)[1] == [mirrored, fired]
             else:
                 with pytest.raises(enumeration.CorpusError, match="line 3: .*mirror"):
                     enumeration.read_checkpoint(ckpt, 3, mode)
