@@ -10,8 +10,8 @@ written.
 
 The subcommands leave the library's own argument checks to the library:
 main() turns any ValueError it raises (CorpusError is one) into a single
-`error: <message>` line and exit 2, and a closed output stream or an
-unwritable stderr into exit 2.
+`error: <message>` line and exit 2, and a closed or unwritable output
+stream into exit 2.
 """
 
 from __future__ import annotations
@@ -52,6 +52,34 @@ def _discard(stream) -> None:
     null = os.open(os.devnull, os.O_WRONLY)
     os.dup2(null, stream.fileno())
     os.close(null)
+
+
+class _StdoutError(Exception):
+    """stdout could not be written: its reader left, or it is not open for writing."""
+
+
+class _Stdout:
+    """sys.stdout while main() runs: a failed write or flush raises _StdoutError,
+    so that no other OSError is taken for a failed stdout."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+    def write(self, text: str) -> int:
+        return self._guard(self._stream.write, text)
+
+    def flush(self) -> None:
+        self._guard(self._stream.flush)
+
+    @staticmethod
+    def _guard(method, *args):
+        try:
+            return method(*args)
+        except OSError as exc:
+            raise _StdoutError(exc.strerror or str(exc)) from exc
 
 
 def _cannot_write(path: str) -> bool:
@@ -404,17 +432,22 @@ def main(argv: list[str] | None = None) -> int:
         # a stream closed before the start is None, and print(file=None) writes to stdout
         if getattr(sys, name) is None:
             setattr(sys, name, open(os.devnull, "w"))
-    args = build_parser().parse_args(argv)
+    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
     try:
+        args = build_parser().parse_args(argv)
         try:
             code = args.func(args)
         except ValueError as exc:  # a usage or input error the library refused; CorpusError is one
             code = _fail(str(exc))
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
-    except BrokenPipeError:  # a reader left: stdout's, or stderr's, which _fail then meets
-        _discard(sys.stdout)
-        return _fail("stdout was closed before the output was written")
+    except _StdoutError as exc:
+        _discard(stdout)
+        return _fail(f"cannot write stdout: {exc}")
+    except BrokenPipeError:  # stderr's reader left, which _fail then meets
+        return _fail("stderr was closed")
+    finally:
+        sys.stdout = stdout
 
 
 if __name__ == "__main__":

@@ -30,6 +30,12 @@ expanded back into whole orbits, so corpora do not depend on the
 quotient.  Scheduled mode fires the lowest-index vertex first, which the
 mirror does not preserve, so it keeps every state.
 
+A state's shadow, the number of chips on each vertex, decides which
+vertices can fire and how often each has fired (the game is abelian).  So
+each level is kept as a dict from shadow to the states that have it: the
+fireable vertices, the successors' shadows and the fire-vector check are
+worked out once per shadow, not once per state.
+
 Corpora and checkpoints share one record format: a JSON header line
 carrying the sha256 of the body, then one sorted record per line.  A
 checkpoint body holds one representative per line in full mode, so
@@ -134,6 +140,11 @@ def _mirror(state: bytes) -> bytes:
     return state[::-1].translate(_MIRROR)
 
 
+def _shadow(state: bytes) -> bytes:
+    """How many chips each vertex of `state` holds, indexed by vertex (entry 0 unused)."""
+    return bytes(map(state.count, range(len(state) + 1)))
+
+
 def _orbit_count(states: Collection[bytes], mode: str) -> int:
     """How many states `states` stands for: two per mirror pair in full mode."""
     if mode != "full":
@@ -141,25 +152,22 @@ def _orbit_count(states: Collection[bytes], mode: str) -> int:
     return 2 * len(states) - sum(1 for s in states if s == _mirror(s))
 
 
-def _fire_vector(state: bytes) -> list[int] | None:
-    """How often each vertex has fired to reach `state`, read off its shadow.
+def _fire_vector(shadow: bytes) -> list[int] | None:
+    """How often each vertex has fired to reach a state with `shadow`.
 
     The game is abelian and chips never pass layer ell, so a bottom vertex
     w holds f(parent w) chips, and going up the tree
     f(parent v) = chips(v) - f(2v) - f(2v + 1) + 3 f(v).  Returns the list
     indexed by vertex (entry 0 unused), or None when two siblings disagree
-    on their parent, so that no reachable state has this shadow.  Vertices
-    must lie in 1..2^ell - 1.  Then the root equation
+    on their parent, so that no reachable state has this shadow.  The
+    shadow covers vertices 0..2^ell - 1.  Then the root equation
     chips(1) = N - 2 f(1) + f(2) + f(3) follows from the others, as the
     chips sum to N, and f never decreases going up, so f >= 0.
     """
-    size = len(state) + 1  # 2^ell
-    chips = [0] * size
-    for v in state:
-        chips[v] += 1
+    size = len(shadow)  # 2^ell
     fires = [0] * (2 * size)  # the bottom layer never fires
     for v in range(size - 1, 1, -1):
-        up = chips[v] - fires[2 * v] - fires[2 * v + 1] + 3 * fires[v]
+        up = shadow[v] - fires[2 * v] - fires[2 * v + 1] + 3 * fires[v]
         if v & 1:
             fires[v >> 1] = up
         elif up != fires[v >> 1]:
@@ -167,73 +175,103 @@ def _fire_vector(state: bytes) -> list[int] | None:
     return fires[:size]
 
 
-def _check_fire_vectors(states: Iterable[bytes], depth: int, budgets: list[int]) -> None:
-    """Raise unless every state's fire vector accounts for exactly `depth`
+def _check_fire_vectors(shadows: Iterable[bytes], depth: int, budgets: list[int]) -> None:
+    """Raise unless every shadow's fire vector accounts for exactly `depth`
     fires, none over its vertex's budget."""
-    for state in states:
-        fires = _fire_vector(state)
+    for shadow in shadows:
+        fires = _fire_vector(shadow)
         if fires is None or sum(fires) != depth or any(map(int.__gt__, fires, budgets)):
             raise AssertionError(
-                f"state {state.hex()} at depth {depth} has fire vector {fires}, "
+                f"shadow {shadow.hex()} at depth {depth} has fire vector {fires}, "
                 f"budgets {budgets}"
             )
 
 
-def _fireable(state: bytes) -> list[int]:
-    """The vertices of `state` that hold three chips or more."""
-    return [v for v in set(state) if state.count(v) >= 3]
-
-
-def _expand_batch(args: tuple[Collection[bytes], str, int]) -> set[bytes]:
-    """The successors of states that all sit at `depth`, below the stabilization depth.
+def _expand_batch(
+    args: tuple[bytes, Collection[bytes], str, int], level: dict[bytes, set[bytes]] | None = None
+) -> dict[bytes, set[bytes]]:
+    """The successors of `states`, which all have `shadow` and sit at `depth`,
+    below the stabilization depth, keyed by their shadow and merged into `level`.
 
     In full mode the successors are mirror representatives.  Every path
-    takes F(N) fires, so a stable state here cannot be reached: it raises.
+    takes F(N) fires, so a stable shadow here cannot be reached: it raises.
     """
-    states, mode, depth = args
-    successors: set[bytes] = set()
-    add = successors.add
-    for state in states:
-        fireable = _fireable(state)
-        if not fireable:
-            raise AssertionError(f"stable state {state.hex()} at depth {depth}")
-        if mode == "scheduled":
-            fireable = [min(fireable)]
-        for v in fireable:
-            left, right = 2 * v, 2 * v + 1
-            up = v >> 1 if v > 1 else 1
+    shadow, states, mode, depth = args
+    level = {} if level is None else level
+    fireable = [v for v, chips in enumerate(shadow) if chips >= 3]
+    if not fireable:
+        raise AssertionError(f"stable state {next(iter(states)).hex()} at depth {depth}")
+    if mode == "scheduled":
+        del fireable[1:]
+    for v in fireable:
+        left, right, up = 2 * v, 2 * v + 1, v >> 1
+        moved = bytearray(shadow)
+        moved[v] -= 3
+        moved[left] += 1
+        moved[right] += 1
+        moved[up or 1] += 1
+        child = bytes(moved)
+        successors: set[bytes] = set()
+        add = successors.add
+        for state in states:
             chips, i = [], state.find(v)
             while i >= 0:
                 chips.append(i)
                 i = state.find(v, i + 1)
-            # one buffer per vertex: each triple moves its chips, then puts them back
+            # one buffer per vertex: each choice moves its chips, then puts them back
             nxt = bytearray(state)
-            for a, b, c in itertools.combinations(chips, 3):
-                nxt[a] = left
-                nxt[b] = up
-                nxt[c] = right
-                add(bytes(nxt))
-                nxt[a] = nxt[b] = nxt[c] = v
-    if mode == "full":
-        # after the local dedup: each state is generated about 15 times
-        successors = {m if m < s else s for s in successors for m in (_mirror(s),)}
-    return successors
+            if v == 1:
+                # the middle chip stays on the root, so the choice is a pair (a, c)
+                # with a chip between them
+                for j, a in enumerate(chips):
+                    nxt[a] = left
+                    for c in chips[j + 2 :]:
+                        nxt[c] = right
+                        add(bytes(nxt))
+                        nxt[c] = v
+                    nxt[a] = v
+            else:
+                for a, b, c in itertools.combinations(chips, 3):
+                    nxt[a] = left
+                    nxt[b] = up
+                    nxt[c] = right
+                    add(bytes(nxt))
+                    nxt[a] = nxt[b] = nxt[c] = v
+        if mode == "full":
+            # after the local dedup: each state is generated several times
+            successors = {m if m < s else s for s in successors for m in (_mirror(s),)}
+        found = {child: successors}
+        mirrored = bytes(map(child.__getitem__, _MIRROR[: len(child)]))
+        if mode == "full" and mirrored != child:
+            # a representative that is a mirror has the mirrored shadow: it holds
+            # another number of chips on the first vertex u where the two differ
+            u = next(u for u, count in enumerate(child) if count != mirrored[u])
+            found[mirrored] = {r for r in successors if r.count(u) != child[u]}
+            successors -= found[mirrored]
+        for key, group in found.items():
+            if key in level:
+                level[key] |= group
+            elif group:
+                level[key] = group
+    return level
 
 
 def _unpack(packed: bytes, n_chips: int) -> Iterator[bytes]:
     return (packed[i : i + n_chips] for i in range(0, len(packed), n_chips))
 
 
-def _expand_packed(args: tuple[bytes, int, str, int]) -> bytes:
-    """_expand_batch in a worker process, with the states packed into one bytes object.
+def _expand_packed(args: tuple[bytes, bytes, int, str, int]) -> dict[bytes, bytes]:
+    """_expand_batch in a worker process, with the states of each shadow packed
+    into one bytes object.
 
     One object pickles without a per-state memo entry, and the main
-    process unpacks the successors one at a time into its level set, so
+    process unpacks the successors one at a time into its level's sets, so
     states that another batch already produced are freed at once instead
     of piling up and fragmenting the main process's heap.
     """
-    packed, n_chips, mode, depth = args
-    return b"".join(_expand_batch((list(_unpack(packed, n_chips)), mode, depth)))
+    shadow, packed, n_chips, mode, depth = args
+    level = _expand_batch((shadow, list(_unpack(packed, n_chips)), mode, depth))
+    return {child: b"".join(states) for child, states in level.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +296,11 @@ def enumerate_stable(
     exceeded; pass the checkpoint to `resume_path` to continue.  With
     `workers` > 1, every level is expanded in a pool of at most one
     process per CPU.  Every path stabilizes after exactly F(2^ell - 1)
-    fires, so the level at that depth is the stable set.  For ell <= 3,
-    where it is cheap, the fire vector of every state on every level, the
-    last one included, is checked, after a resume too.  A resumed
-    frontier that breaks an invariant of the search raises CorpusError.
+    fires, so the level at that depth is the stable set.  Each level is
+    kept keyed by shadow, and the fire vector of every shadow on every
+    level, the last one included, is checked, after a resume too.  A
+    resumed frontier that breaks an invariant of the search raises
+    CorpusError.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -276,17 +315,20 @@ def enumerate_stable(
 
     n_chips = 2**ell - 1
     target_depth = unlabeled.total_fires(n_chips)
-    budgets = None
-    if ell <= 3:  # from ell = 4 on, the per-state check would slow the search
-        per_layer = unlabeled.fires_per_layer(n_chips)
-        budgets = [0] + [per_layer[v.bit_length() - 1] for v in range(1, n_chips + 1)]
+    per_layer = unlabeled.fires_per_layer(n_chips)
+    budgets = [0] + [per_layer[v.bit_length() - 1] for v in range(1, n_chips + 1)]
 
-    frontier: Collection[bytes]  # a resumed frontier stays the sorted list it was read as
     if resume_path is not None:
-        depth, frontier, explored, max_seen = read_checkpoint(resume_path, ell, mode)
+        depth, states, explored, max_seen = read_checkpoint(resume_path, ell, mode)
     else:
-        depth, frontier, explored, max_seen = 0, {bytes([1]) * n_chips}, 0, 1
-    size = _orbit_count(frontier, mode)
+        depth, states, explored, max_seen = 0, [bytes([1]) * n_chips], 0, 1
+    size = _orbit_count(states, mode)
+    # the level keyed by shadow; `states` is grouped only before its first check,
+    # so a resumed search that pauses at once writes the sorted list it read
+    frontier: dict[bytes, Collection[bytes]] | None = None
+
+    def level() -> Iterable[bytes]:
+        return states if frontier is None else itertools.chain.from_iterable(frontier.values())
 
     started = time.monotonic()
     last_checkpoint = started
@@ -294,7 +336,7 @@ def enumerate_stable(
 
     def pause(reason: str) -> EnumerationPaused:
         if checkpoint_path is not None:
-            write_checkpoint(checkpoint_path, ell, mode, depth, frontier, explored, max_seen)
+            write_checkpoint(checkpoint_path, ell, mode, depth, level(), explored, max_seen)
         return EnumerationPaused(reason, checkpoint_path, depth, size)
 
     try:
@@ -307,7 +349,7 @@ def enumerate_stable(
                 checkpoint_path is not None
                 and time.monotonic() - last_checkpoint >= checkpoint_every
             ):
-                write_checkpoint(checkpoint_path, ell, mode, depth, frontier, explored, max_seen)
+                write_checkpoint(checkpoint_path, ell, mode, depth, level(), explored, max_seen)
                 last_checkpoint = time.monotonic()
             if progress:
                 print(
@@ -316,33 +358,45 @@ def enumerate_stable(
                     file=sys.stderr,
                     flush=True,
                 )
-            if budgets is not None:
-                _check_fire_vectors(frontier, depth, budgets)
+            if frontier is None:
+                frontier = {}
+                for state in states:
+                    frontier.setdefault(_shadow(state), []).append(state)
+                states = []
+            _check_fire_vectors(frontier, depth, budgets)
             if depth == target_depth:
                 break
 
+            next_frontier: dict[bytes, Collection[bytes]] = {}
             if pool is not None:
-                # neighbours in byte order share their low-label chips and many
-                # successors, so contiguous batches dedup those in the worker
-                work = sorted(frontier)
-                chunk = max(1, len(work) // (workers * 8))
-                batches = [
-                    (b"".join(work[i : i + chunk]), n_chips, mode, depth)
-                    for i in range(0, len(work), chunk)
-                ]
-                next_frontier = set()
-                for packed in pool.map(_expand_packed, batches):
-                    next_frontier.update(_unpack(packed, n_chips))
+                # every group is a sorted list here; neighbours in byte order share
+                # their low-label chips and many successors, so contiguous batches
+                # dedup those in the worker
+                chunk = max(1, sum(map(len, frontier.values())) // (workers * 8))
+                # a generator: map() submits every batch at once, and no list keeps
+                # a batch alive once its result is back
+                batches = (
+                    (shadow, b"".join(group[i : i + chunk]), n_chips, mode, depth)
+                    for shadow, group in frontier.items()
+                    for i in range(0, len(group), chunk)
+                )
+                for result in pool.map(_expand_packed, batches):
+                    for child, packed in result.items():
+                        next_frontier.setdefault(child, set()).update(_unpack(packed, n_chips))
+                # a sorted list takes a fraction of a set's memory while the level waits
+                for child, group in next_frontier.items():
+                    next_frontier[child] = sorted(group)
             else:
-                next_frontier = _expand_batch((frontier, mode, depth))
+                for shadow, group in frontier.items():
+                    _expand_batch((shadow, group, mode, depth), next_frontier)
             explored += size
             frontier = next_frontier
-            size = _orbit_count(frontier, mode)
+            size = sum(_orbit_count(group, mode) for group in frontier.values())
             max_seen = max(max_seen, size)
             depth += 1
         explored += size
         # raised, not asserted: python -O must not resume a forged frontier
-        if any(map(_fireable, frontier)):
+        if any(max(shadow) >= 3 for shadow in frontier):
             raise AssertionError("search ran past the fixed stabilization depth")
     except MemoryError:
         raise pause("out of memory") from None
@@ -354,9 +408,10 @@ def enumerate_stable(
         if pool is not None:
             pool.shutdown()
 
+    stable = level()
     if mode == "full":
-        frontier = {m for s in frontier for m in (s, _mirror(s))}
-    configs = [LabeledConfig(n_chips, dict(sorted(_cells_of(s).items()))) for s in frontier]
+        stable = {m for s in stable for m in (s, _mirror(s))}
+    configs = [LabeledConfig(n_chips, dict(sorted(_cells_of(s).items()))) for s in stable]
     configs.sort(key=LabeledConfig.canonical_json)
     return StableSet(
         ell=ell,
@@ -492,7 +547,7 @@ def write_checkpoint(
     ell: int,
     mode: str,
     depth: int,
-    frontier: Collection[bytes],
+    frontier: Iterable[bytes],
     explored: int,
     max_seen: int,
 ) -> None:
@@ -501,17 +556,18 @@ def write_checkpoint(
     `frontier_count` is the number of body lines; `explored` and
     `max_seen` are in unreduced states.
     """
+    # states have one length, so their byte order is the order of their hex; a
+    # frontier made of sorted runs, as a resumed one is, sorts in about linear time
+    states = sorted(frontier)
     fields = {
         "ell": ell,
         "mode": mode,
         "depth": depth,
-        "frontier_count": len(frontier),
+        "frontier_count": len(states),
         "explored_states": explored,
         "max_frontier": max_seen,
     }
-    # states have one length, so their byte order is the order of their hex; a
-    # resumed frontier is already sorted, which sorted() passes over in linear time
-    _write_records(path, CHECKPOINT_FORMAT, fields, map(bytes.hex, sorted(frontier)))
+    _write_records(path, CHECKPOINT_FORMAT, fields, map(bytes.hex, states))
 
 
 def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, list[bytes], int, int]:

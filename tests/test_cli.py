@@ -546,7 +546,27 @@ def test_forged_depth_is_refused_with_asserts_stripped(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 3, proc.stderr
-    assert "search ran past the fixed stabilization depth" in proc.stderr
+    assert f"at depth {header['depth']} has fire vector" in proc.stderr
+
+
+def test_a_frontier_one_level_off_is_refused_before_it_is_expanded(capsys, tmp_path):
+    # every state of the depth-4 frontier has fired 4 times, not 5; the check of the
+    # resumed level refuses it at once, before the search could pause again
+    ckpt = str(tmp_path / "z4.ckpt")
+    with pytest.raises(enumeration.EnumerationPaused):
+        enumeration.enumerate_stable(4, max_frontier=50_000, checkpoint_path=ckpt)
+    head, body = open(ckpt, "rb").read().split(b"\n", 1)
+    header = json.loads(head)
+    assert header["depth"] == 4
+    header["depth"] = 5
+    open(ckpt, "wb").write(json.dumps(header).encode() + b"\n" + body)
+    argv = ["enumerate", "--ell", "4", "--resume", ckpt, "--checkpoint", ckpt]
+    assert main([*argv, "--max-seconds", "5"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {ckpt}: resumed frontier is not reachable: shadow ")
+    assert " at depth 5 has fire vector " in captured.err
+    assert json.loads(open(ckpt, "rb").readline())["depth"] == 5
 
 
 def test_a_closed_stdout_exits_2_without_a_traceback():
@@ -619,6 +639,21 @@ def test_an_error_with_a_read_only_stderr_exits_2_without_a_traceback():
             timeout=120,
         )
     assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+def test_a_read_only_stdout_exits_2_without_a_traceback():
+    # fd 1 is open but cannot be written: the first print fails with EBADF
+    with open(os.devnull, "rb") as read_only:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chipfire.cli", "fires", "--chips", "3"],
+            stdout=read_only,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=_CHILD_ENV,
+            timeout=120,
+        )
+    message = "error: cannot write stdout: Bad file descriptor\n"
+    assert (proc.returncode, proc.stderr) == (2, message)
 
 
 def test_a_stdout_closed_from_the_start_is_not_an_error():

@@ -88,6 +88,12 @@ def orbits(states):
     return {m for s in states for m in (s, enumeration._mirror(s))}
 
 
+def expand(state, mode, depth):
+    """One state's successors, as the search's expansion of its shadow group returns them."""
+    groups = enumeration._expand_batch((enumeration._shadow(state), [state], mode, depth))
+    return set().union(*groups.values())
+
+
 def checkpoint_body(data):
     return {bytes.fromhex(line) for line in data.decode().split("\n")[1:] if line}
 
@@ -140,28 +146,28 @@ class TestFireVector:
         reached = tallied_bfs(7)
         assert len(reached) == 90
         for config, tally in reached:
-            fires = enumeration._fire_vector(state_of(config))
+            fires = enumeration._fire_vector(enumeration._shadow(state_of(config)))
             assert fires == [0] + [tally.get(v, 0) for v in range(1, 8)]
         stable = sorted(c.canonical_json() for c, _ in reached if c.is_stable())
         assert stable == stable3.canonical_keys()
 
     def test_rejects_siblings_that_disagree(self):
         # all chips on vertex 7 say f(3) = 7, the empty vertex 6 says f(3) = 0
-        assert enumeration._fire_vector(bytes([7] * 7)) is None
+        assert enumeration._fire_vector(enumeration._shadow(bytes([7] * 7))) is None
 
     def test_sibling_agreement_implies_the_root_equation_and_signs(self):
         accepted = 0
-        for shadow in itertools.combinations_with_replacement(range(1, 8), 7):
-            fires = enumeration._fire_vector(bytes(shadow))
+        for state in itertools.combinations_with_replacement(range(1, 8), 7):
+            fires = enumeration._fire_vector(enumeration._shadow(bytes(state)))
             if fires is None:
                 continue
             accepted += 1
-            assert shadow.count(1) == 7 - 2 * fires[1] + fires[2] + fires[3]
+            assert state.count(1) == 7 - 2 * fires[1] + fires[2] + fires[3]
             assert min(fires) >= 0
         assert accepted >= 8  # the 7-chip game passes through 8 shadows
 
     def test_budget_check(self):
-        fired_root_once = bytes([2, 1, 3, 1, 1, 1, 1])
+        fired_root_once = enumeration._shadow(bytes([2, 1, 3, 1, 1, 1, 1]))
         enumeration._check_fire_vectors([fired_root_once], 1, [0, 1] + [0] * 6)
         with pytest.raises(AssertionError, match="depth 1"):
             enumeration._check_fire_vectors([fired_root_once], 1, [0] * 8)
@@ -173,9 +179,9 @@ class TestFireVector:
         # every path stabilizes at F(N) = 6 fires, so the search expands depths 0..5 only
         fired_root_once = bytes([2, 1, 3, 1, 1, 1, 1])
         stable = bytes([4, 2, 5, 1, 6, 3, 7])
-        assert enumeration._expand_batch(([fired_root_once], mode, 1))
+        assert expand(fired_root_once, mode, 1)
         with pytest.raises(AssertionError, match=f"stable state {stable.hex()} at depth 5"):
-            enumeration._expand_batch(([fired_root_once, stable], mode, 5))
+            expand(stable, mode, 5)
 
 
 # the frontier sizes the search keeps (representatives in full mode) at depths 0, 1, ...
@@ -203,7 +209,7 @@ def test_every_states_successors_are_pinned(ell, mode):
         sizes.append(len(frontier))
         level = set()
         for state in sorted(frontier):
-            successors = enumeration._expand_batch(([state], mode, depth))
+            successors = expand(state, mode, depth)
             digest.update(state + b":" + b"".join(sorted(successors)) + b"\n")
             level |= successors
         frontier = level
@@ -261,6 +267,53 @@ class TestMirrorQuotient:
     def test_stable_set_is_closed_under_the_mirror(self, stable3):
         states = {state_of(config) for config in stable3.configs}
         assert orbits(states) == states
+
+
+class TestShadowGroups:
+    """Each level of the search is kept as {shadow: states}."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        depths = []
+        check = enumeration._check_fire_vectors
+
+        def check_groups(level, depth, budgets):
+            for shadow, states in level.items():
+                assert states, f"empty group at depth {depth}"
+                # the vertices of a state with this shadow, in ascending order
+                chips = b"".join(bytes([v]) * count for v, count in enumerate(shadow))
+                for state in states:
+                    assert bytes(sorted(state)) == chips, (depth, state.hex())
+            depths.append(depth)
+            check(level, depth, budgets)
+
+        monkeypatch.setattr(enumeration, "_check_fire_vectors", check_groups)
+        return depths
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mode", enumeration.MODES)
+    def test_three_layers(self, checked, mode, workers, stable3):
+        result = enumeration.enumerate_stable(3, mode=mode, workers=workers)
+        assert result.canonical_keys() == stable3.canonical_keys()
+        assert checked == list(range(unlabeled.total_fires(7) + 1))
+
+    @pytest.mark.parametrize("mode", enumeration.MODES)
+    def test_a_resumed_level(self, checked, mode, tmp_path):
+        ckpt = str(tmp_path / "z3.ckpt")
+        with pytest.raises(enumeration.EnumerationPaused) as info:
+            enumeration.enumerate_stable(3, mode=mode, max_frontier=5, checkpoint_path=ckpt)
+        del checked[:]
+        enumeration.enumerate_stable(3, mode=mode, resume_path=ckpt)
+        assert checked == list(range(info.value.depth, unlabeled.total_fires(7) + 1))
+
+    @pytest.mark.parametrize(
+        "workers,max_frontier,pause_depth", [(1, 220_000, 5), (2, 300_000, 6)]
+    )
+    def test_four_layers(self, checked, workers, max_frontier, pause_depth):
+        with pytest.raises(enumeration.EnumerationPaused) as info:
+            enumeration.enumerate_stable(4, workers=workers, max_frontier=max_frontier)
+        assert info.value.depth == pause_depth
+        assert checked == list(range(pause_depth))
 
 
 class TestWorkers:
@@ -512,7 +565,7 @@ FOUR_LAYER_BODY_SHA256 = "020980e1fc2e2a69660a363d6abfd83e385ef60381e752e9425aa1
 @pytest.mark.long
 @pytest.mark.skipif(
     os.environ.get("CHIPFIRE_RUN_LONG") != "1",
-    reason="full 4-layer enumeration: 310 s with 2 workers on 2 cores (BENCH_3.json); "
+    reason="full 4-layer enumeration: 223 s with 2 workers on 2 cores (BENCH_11.json); "
     "set CHIPFIRE_RUN_LONG=1",
 )
 class TestFourLayersFull:
