@@ -36,6 +36,21 @@ each level is kept as a dict from shadow to the states that have it: the
 fireable vertices, the successors' shadows and the fire-vector check are
 worked out once per shadow, not once per state.
 
+Within a group, the states that hold the same chips on the firing vertex
+v take the same picks, and a pick adds the same number to every one of
+them read as a big-endian int: the sum of (dest - v) * 256^(n - 1 - p)
+over the chips it moves, p being a chip's byte.  So each such subgroup is
+read as ints once, and all its picks are applied to all its states in one
+C-level pass that writes the successors back as `bytes` into the level's
+set.  The mirror quotient happens in the same pass: mirror(x + delta) is
+mirror(x) plus the mirrored move, the smaller of the two is the
+representative, and which side is smaller says whose shadow it has.  No
+dedup is needed within a subgroup: states with the same chips on v that
+differ keep their difference after any pick, and two picks move different
+chips, so equal successors imply the same state and the same pick; the set
+only merges successors that come from different subgroups.  States stay
+`bytes` everywhere else.
+
 Corpora and checkpoints share one record format: a JSON header line
 carrying the sha256 of the body, then one sorted record per line.  A
 checkpoint body holds one representative per line in full mode, so
@@ -46,9 +61,11 @@ from __future__ import annotations
 
 import binascii
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
+import operator
 import os
 import sys
 import time
@@ -110,13 +127,17 @@ class StableSet:
     configs: list[LabeledConfig]
     # mode, explored_states and max_frontier, in the order `enumerate --json` prints them
     meta: dict = field(default_factory=dict)
+    # the canonical JSON of each config, built once; `configs` is not changed after
+    _keys: list[str] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def count(self) -> int:
         return len(self.configs)
 
     def canonical_keys(self) -> list[str]:
-        return [c.canonical_json() for c in self.configs]
+        if self._keys is None:
+            self._keys = [c.canonical_json() for c in self.configs]
+        return self._keys
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +208,32 @@ def _check_fire_vectors(shadows: Iterable[bytes], depth: int, budgets: list[int]
             )
 
 
+@functools.lru_cache(maxsize=None)
+def _move_tables(n: int, v: int) -> tuple[tuple[int, ...], tuple, tuple]:
+    """Where a fire of v sends its three chips, and what each move adds to an
+    n-chip state read as a big-endian int and to its mirror's int.
+
+    The destinations are the left child, up and the right child; the
+    middle chip of a root fire stays on the root.  Entry [k][p] of either
+    table is for the chip on byte p going to destination k.  Byte p weighs
+    256^(n - 1 - p), and the mirror carries it to byte n - 1 - p.
+    """
+    weights = [1 << 8 * p for p in range(n)][::-1]
+    dests = (2 * v, v >> 1 or v, 2 * v + 1)
+    tables = tuple(tuple((d - v) * w for w in weights) for d in dests)
+    mirror_tables = tuple(
+        tuple((_MIRROR[d] - _MIRROR[v]) * w for w in reversed(weights)) for d in dests
+    )
+    return dests, tables, mirror_tables
+
+
+def _moves(tables: tuple, picks: list[tuple[int, int, int]], xs: Iterable[int]) -> Iterator[int]:
+    """Every pick (a, b, c) of chip bytes applied to every state int in `xs`."""
+    left, up, right = tables
+    deltas = [left[a] + up[b] + right[c] for a, b, c in picks]
+    return itertools.starmap(operator.add, itertools.product(deltas, xs))
+
+
 def _expand_batch(
     args: tuple[bytes, Collection[bytes], str, int], level: dict[bytes, set[bytes]] | None = None
 ) -> dict[bytes, set[bytes]]:
@@ -203,56 +250,51 @@ def _expand_batch(
         raise AssertionError(f"stable state {next(iter(states)).hex()} at depth {depth}")
     if mode == "scheduled":
         del fireable[1:]
+    n, full = len(shadow) - 1, mode == "full"
+    big, little, width = itertools.repeat("big"), itertools.repeat("little"), itertools.repeat(n)
     for v in fireable:
-        left, right, up = 2 * v, 2 * v + 1, v >> 1
+        dests, tables, mirror_tables = _move_tables(n, v)
         moved = bytearray(shadow)
         moved[v] -= 3
-        moved[left] += 1
-        moved[right] += 1
-        moved[up or 1] += 1
+        for dest in dests:
+            moved[dest] += 1
         child = bytes(moved)
-        successors: set[bytes] = set()
-        add = successors.add
-        for state in states:
-            chips, i = [], state.find(v)
-            while i >= 0:
-                chips.append(i)
-                i = state.find(v, i + 1)
-            # one buffer per vertex: each choice moves its chips, then puts them back
-            nxt = bytearray(state)
+        # a representative that is a mirror has the mirrored shadow
+        mirrored = bytes(map(child.__getitem__, _MIRROR[: n + 1])) if full else child
+        kept, swapped = level.setdefault(child, set()), level.setdefault(mirrored, set())
+        # states with the same chips on v take the same picks
+        on_v = bytes(v) + b"\x01" + bytes(255 - v)
+        subgroups: dict[bytes, list[bytes]] = {}
+        for state, chips in zip(states, map(bytes.translate, states, itertools.repeat(on_v))):
+            subgroups.setdefault(chips, []).append(state)
+        for chips, members in subgroups.items():
+            pos = list(itertools.compress(range(n), chips))
             if v == 1:
-                # the middle chip stays on the root, so the choice is a pair (a, c)
-                # with a chip between them
-                for j, a in enumerate(chips):
-                    nxt[a] = left
-                    for c in chips[j + 2 :]:
-                        nxt[c] = right
-                        add(bytes(nxt))
-                        nxt[c] = v
-                    nxt[a] = v
+                # the pick is a pair (a, c) with a chip between them
+                picks = [(a, pos[j + 1], c) for j, a in enumerate(pos) for c in pos[j + 2 :]]
             else:
-                for a, b, c in itertools.combinations(chips, 3):
-                    nxt[a] = left
-                    nxt[b] = up
-                    nxt[c] = right
-                    add(bytes(nxt))
-                    nxt[a] = nxt[b] = nxt[c] = v
-        if mode == "full":
-            # after the local dedup: each state is generated several times
-            successors = {m if m < s else s for s in successors for m in (_mirror(s),)}
-        found = {child: successors}
-        mirrored = bytes(map(child.__getitem__, _MIRROR[: len(child)]))
-        if mode == "full" and mirrored != child:
-            # a representative that is a mirror has the mirrored shadow: it holds
-            # another number of chips on the first vertex u where the two differ
-            u = next(u for u, count in enumerate(child) if count != mirrored[u])
-            found[mirrored] = {r for r in successors if r.count(u) != child[u]}
-            successors -= found[mirrored]
-        for key, group in found.items():
-            if key in level:
-                level[key] |= group
-            elif group:
-                level[key] = group
+                picks = list(itertools.combinations(pos, 3))
+            ys = _moves(tables, picks, map(int.from_bytes, members, big))
+            if not full:
+                kept.update(map(int.to_bytes, ys, width, big))
+                continue
+            # mirror(x + delta) = mirror(x) + mirrored delta; a mirror read
+            # big-endian is the translated state read little-endian
+            mirrors = map(bytes.translate, members, itertools.repeat(_MIRROR))
+            ms = _moves(mirror_tables, picks, map(int.from_bytes, mirrors, little))
+            if swapped is kept:
+                kept.update(map(int.to_bytes, map(min, ys, ms), width, big))
+                continue
+            # the representative is the smaller one, under its own shadow
+            ys, ms = list(ys), list(ms)
+            lower = list(map(int.__lt__, ys, ms))
+            kept.update(map(int.to_bytes, itertools.compress(ys, lower), width, big))
+            swapped.update(
+                map(int.to_bytes, itertools.compress(ms, map(operator.not_, lower)), width, big)
+            )
+        for key in {child, mirrored}:
+            if not level[key]:
+                del level[key]
     return level
 
 
@@ -411,13 +453,16 @@ def enumerate_stable(
     stable = level()
     if mode == "full":
         stable = {m for s in stable for m in (s, _mirror(s))}
+    # each config's canonical JSON is built once: it orders the set and save() writes it
     configs = [LabeledConfig(n_chips, dict(sorted(_cells_of(s).items()))) for s in stable]
-    configs.sort(key=LabeledConfig.canonical_json)
-    return StableSet(
+    keyed = sorted(zip(map(LabeledConfig.canonical_json, configs), configs))
+    result = StableSet(
         ell=ell,
-        configs=configs,
+        configs=[config for _, config in keyed],
         meta={"mode": mode, "explored_states": explored, "max_frontier": max_seen},
     )
+    result._keys = [key for key, _ in keyed]
+    return result
 
 
 def extract_subtree_orders(stable_set: StableSet, depth: int) -> set[str]:
@@ -512,7 +557,8 @@ def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **
 
 def save(stable_set: StableSet, path: str) -> None:
     """Write a stable set as a JSON-lines corpus: header, then one config per line."""
-    lines = sorted(c.canonical_json() for c in stable_set.configs)
+    # linear when the keys are already in order, as enumerate_stable leaves them
+    lines = sorted(stable_set.canonical_keys())
     fields = {
         "ell": stable_set.ell,
         "count": len(lines),

@@ -182,8 +182,8 @@ def test_criterion_10_determinism(capsys, tmp_path):
 @pytest.mark.long
 @pytest.mark.skipif(
     os.environ.get("CHIPFIRE_RUN_LONG") != "1",
-    reason="stretch goal: full 4-layer enumeration, 223 s with 2 workers on 2 cores "
-    "(BENCH_11.json); set CHIPFIRE_RUN_LONG=1",
+    reason="stretch goal: full 4-layer enumeration, 159 s with 2 workers on 2 cores "
+    "(BENCH_12.json); set CHIPFIRE_RUN_LONG=1",
 )
 def test_criterion_05_stretch_four_layers(tmp_path):
     with criterion(5, 6 * 3600, "stretch: 36,220 stable configurations and 10 subtree orders"):

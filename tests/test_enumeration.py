@@ -64,16 +64,25 @@ def tallied_bfs(n_chips):
     return list(seen.values())
 
 
+def plain_fires(state, v):
+    """Reference: every successor of a bytes state that fires vertex v."""
+    out = set()
+    labels = [i for i, u in enumerate(state) if u == v]
+    for a, b, c in itertools.combinations(labels, 3):
+        nxt = bytearray(state)
+        nxt[a], nxt[b], nxt[c] = 2 * v, v // 2 or 1, 2 * v + 1
+        out.add(bytes(nxt))
+    return out
+
+
 def plain_successors(state):
     """Reference: every full-mode successor of a bytes state, without the mirror quotient."""
-    out = set()
-    for v in set(state):
-        labels = [i for i, u in enumerate(state) if u == v]
-        for a, b, c in itertools.combinations(labels, 3):
-            nxt = bytearray(state)
-            nxt[a], nxt[b], nxt[c] = 2 * v, v // 2 or 1, 2 * v + 1
-            out.add(bytes(nxt))
-    return out
+    return set().union(*(plain_fires(state, v) for v in set(state)))
+
+
+def plain_scheduled_successors(state):
+    """Reference: every scheduled-mode successor: the lowest-index fireable vertex fires."""
+    return plain_fires(state, min(v for v in set(state) if state.count(v) >= 3))
 
 
 def plain_frontier(n_chips, depth):
@@ -269,6 +278,43 @@ class TestMirrorQuotient:
         assert orbits(states) == states
 
 
+class TestWholeGroups:
+    """Levels whose groups hold many states with the same chips on the firing
+    vertex, expanded as the search expands them, against a plain BFS."""
+
+    def test_scheduled_level_is_the_plain_scheduled_bfs_level(self, tmp_path):
+        ckpt = tmp_path / "s4.ckpt"
+        with pytest.raises(enumeration.EnumerationPaused) as info:
+            enumeration.enumerate_stable(
+                4, mode="scheduled", max_frontier=20_000, checkpoint_path=str(ckpt)
+            )
+        assert (info.value.depth, info.value.frontier) == (4, 51_968)
+        reference = {bytes([1]) * 15}
+        for _ in range(4):
+            reference = set().union(*map(plain_scheduled_successors, reference))
+        assert checkpoint_body(ckpt.read_bytes()) == reference
+
+    def test_five_layers_full(self, tmp_path):
+        # 31-byte states; the plain BFS takes about 1.5 s to reach depth 2
+        ckpt = tmp_path / "z5.ckpt"
+        with pytest.raises(enumeration.EnumerationPaused) as info:
+            enumeration.enumerate_stable(5, max_frontier=50_000, checkpoint_path=str(ckpt))
+        assert (info.value.depth, info.value.frontier) == (2, 55_188)
+        reps = checkpoint_body(ckpt.read_bytes())
+        assert all(s <= enumeration._mirror(s) for s in reps)
+        assert orbits(reps) == plain_frontier(31, 2)
+        # only the root fires at depth 2; states that share their root chips
+        # differ in which two of the other four went left, two ways at most
+        subgroups = {}
+        for state in sorted(orbits(reps)):
+            subgroups.setdefault(state.translate(bytes([0, 1]) + bytes(254)), []).append(state)
+        group = max(subgroups.values(), key=len)
+        assert len(group) == 2
+        level = enumeration._expand_batch((enumeration._shadow(group[0]), group, "full", 2))
+        plain = set().union(*map(plain_successors, group))
+        assert orbits(set().union(*level.values())) == orbits(plain)
+
+
 class TestShadowGroups:
     """Each level of the search is kept as {shadow: states}."""
 
@@ -357,6 +403,26 @@ class TestSubtreeOrders:
 
 
 class TestPersistence:
+    def test_enumerate_then_save_builds_each_canonical_json_once(self, tmp_path, monkeypatch):
+        calls = []
+        canonical_json = labeled.LabeledConfig.canonical_json
+
+        def counted(config):
+            calls.append(config)
+            return canonical_json(config)
+
+        monkeypatch.setattr(labeled.LabeledConfig, "canonical_json", counted)
+        result = enumeration.enumerate_stable(3)
+        enumeration.save(result, str(tmp_path / "z3.jsonl"))
+        assert len(calls) == result.count == 6
+
+    def test_save_sorts_a_set_given_out_of_order(self, stable3, tmp_path):
+        ordered, shuffled = tmp_path / "ordered.jsonl", tmp_path / "shuffled.jsonl"
+        enumeration.save(stable3, str(ordered))
+        reversed_set = enumeration.StableSet(3, stable3.configs[::-1], dict(stable3.meta))
+        enumeration.save(reversed_set, str(shuffled))
+        assert shuffled.read_bytes() == ordered.read_bytes()
+
     def test_round_trip(self, stable3, tmp_path):
         path = str(tmp_path / "z3.jsonl")
         enumeration.save(stable3, path)
@@ -560,12 +626,13 @@ class TestCheckpointing:
 
 
 FOUR_LAYER_BODY_SHA256 = "020980e1fc2e2a69660a363d6abfd83e385ef60381e752e9425aa15d1a3cdf8d"
+SCHEDULED_BODY_SHA256 = "d6e1ba0382ea2753c98c9cf2bb6c6f56570cf4d18fbf6ab8e6da9e6500b734bb"
 
 
 @pytest.mark.long
 @pytest.mark.skipif(
     os.environ.get("CHIPFIRE_RUN_LONG") != "1",
-    reason="full 4-layer enumeration: 223 s with 2 workers on 2 cores (BENCH_11.json); "
+    reason="full 4-layer enumeration: 159 s with 2 workers on 2 cores (BENCH_12.json); "
     "set CHIPFIRE_RUN_LONG=1",
 )
 class TestFourLayersFull:
@@ -583,8 +650,14 @@ class TestFourLayersFull:
             for name, checker in checks.CHECKERS.items():
                 assert checker(config).passed, name
 
-    def test_scheduled_mode_undercounts(self):
+    def test_scheduled_mode_undercounts(self, tmp_path):
         # the fixed-vertex-order heuristic misses configurations from 4
         # layers on; this pins the observed shortfall
         scheduled = enumeration.enumerate_stable(4, mode="scheduled")
         assert scheduled.count == 20006
+        assert scheduled.meta["explored_states"] == 2_348_422
+        assert scheduled.meta["max_frontier"] == 874_190
+        corpus = tmp_path / "s4.jsonl"
+        enumeration.save(scheduled, str(corpus))
+        body = corpus.read_bytes().split(b"\n", 1)[1]
+        assert hashlib.sha256(body).hexdigest() == SCHEDULED_BODY_SHA256
