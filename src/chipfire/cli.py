@@ -10,8 +10,10 @@ written.
 
 The subcommands leave the library's own argument checks to the library:
 main() turns any ValueError it raises (CorpusError is one) into a single
-`error: <message>` line and exit 2, and a closed or unwritable output
-stream into exit 2.
+`error: <message>` line and exit 2.  A failed write to stdout or stderr
+ends the run in exit 2 without a traceback, with one `error: cannot write
+<stream>: <reason>` line if stderr can still take it; a stream closed
+before the start receives nothing.
 """
 
 from __future__ import annotations
@@ -41,32 +43,26 @@ def _dump(obj) -> str:
 def _fail(message: str, code: int = EXIT_USAGE) -> int:
     try:
         print(f"error: {message}", file=sys.stderr)
-    except OSError:  # stderr's reader left, or stderr cannot be written at all
-        _discard(sys.stderr)
+    except _StreamError:  # stderr's reader left, or stderr cannot be written at all
         return EXIT_USAGE
     return code
 
 
-def _discard(stream) -> None:
-    """Point `stream` at devnull: what it still buffers goes nowhere instead of failing at exit."""
-    null = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(null, stream.fileno())
-    os.close(null)
+class _StreamError(Exception):
+    """A write to stdout or stderr failed: its reader left, or it is not open for writing."""
 
 
-class _StdoutError(Exception):
-    """stdout could not be written: its reader left, or it is not open for writing."""
+class _Stream:
+    """sys.stdout or sys.stderr while main() runs: a failed write or flush discards the
+    stream and raises _StreamError naming it, so that no other OSError is taken for it."""
 
+    def __init__(self, name: str):
+        self._name = name
+        stream = getattr(sys, name)  # None if closed before the start: then it receives nothing
+        self._stream = open(os.devnull, "w") if stream is None else stream
 
-class _Stdout:
-    """sys.stdout while main() runs: a failed write or flush raises _StdoutError,
-    so that no other OSError is taken for a failed stdout."""
-
-    def __init__(self, stream):
-        self._stream = stream
-
-    def __getattr__(self, name):
-        return getattr(self._stream, name)
+    def __getattr__(self, attr):
+        return getattr(self._stream, attr)
 
     def write(self, text: str) -> int:
         return self._guard(self._stream.write, text)
@@ -74,12 +70,20 @@ class _Stdout:
     def flush(self) -> None:
         self._guard(self._stream.flush)
 
-    @staticmethod
-    def _guard(method, *args):
+    def _guard(self, method, *args):
         try:
             return method(*args)
         except OSError as exc:
-            raise _StdoutError(exc.strerror or str(exc)) from exc
+            self._discard()
+            raise _StreamError(f"{self._name}: {exc.strerror or exc}") from exc
+
+    def _discard(self) -> None:
+        """Point the stream at devnull: what it still buffers goes nowhere instead of failing at exit."""
+        with contextlib.suppress(ValueError):  # no descriptor (an in-memory stream), or closed
+            fd = self._stream.fileno()
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, fd)
+            os.close(null)
 
 
 def _cannot_write(path: str) -> bool:
@@ -428,11 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    for name in ("stdout", "stderr"):
-        # a stream closed before the start is None, and print(file=None) writes to stdout
-        if getattr(sys, name) is None:
-            setattr(sys, name, open(os.devnull, "w"))
-    stdout, sys.stdout = sys.stdout, _Stdout(sys.stdout)
+    callers = sys.stdout, sys.stderr
+    sys.stdout, sys.stderr = _Stream("stdout"), _Stream("stderr")
     try:
         args = build_parser().parse_args(argv)
         try:
@@ -441,13 +442,10 @@ def main(argv: list[str] | None = None) -> int:
             code = _fail(str(exc))
         sys.stdout.flush()  # a closed stdout raises here, not at exit
         return code
-    except _StdoutError as exc:
-        _discard(stdout)
-        return _fail(f"cannot write stdout: {exc}")
-    except BrokenPipeError:  # stderr's reader left, which _fail then meets
-        return _fail("stderr was closed")
+    except _StreamError as exc:
+        return _fail(f"cannot write {exc}")
     finally:
-        sys.stdout = stdout
+        sys.stdout, sys.stderr = callers
 
 
 if __name__ == "__main__":

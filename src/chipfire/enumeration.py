@@ -97,7 +97,8 @@ VERSIONS = {CORPUS_FORMAT: 1, CHECKPOINT_FORMAT: 2}
 
 MODES = ("full", "scheduled")
 
-# body lines encoded per write; bounds the memory a large checkpoint needs
+# body lines encoded at a time: every encoded chunk is held until the header is
+# written, so this only avoids a whole-body str beside its encoded copy
 _CHUNK_LINES = 1 << 16
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import decimal
 import hashlib
 import io
@@ -639,6 +640,82 @@ def test_an_error_with_a_read_only_stderr_exits_2_without_a_traceback():
             timeout=120,
         )
     assert (proc.returncode, proc.stdout) == (2, b"")
+
+
+def _run_with_read_only_fd(fd, *argv):
+    """Run the CLI in a child process whose file descriptor `fd` is open read-only."""
+    with open(os.devnull, "rb") as read_only:
+        return subprocess.run(
+            [sys.executable, "-m", "chipfire.cli", *argv],
+            stdout=read_only if fd == 1 else subprocess.PIPE,
+            stderr=read_only if fd == 2 else subprocess.PIPE,
+            text=True,
+            env=_CHILD_ENV,
+            timeout=120,
+        )
+
+
+def test_progress_into_a_read_only_stderr_exits_2_without_a_traceback():
+    proc = _run_with_read_only_fd(2, "enumerate", "--ell", "2", "--progress")
+    assert (proc.returncode, proc.stdout) == (2, "")
+
+
+def test_a_pause_into_a_read_only_stderr_exits_2_after_writing_its_checkpoint(tmp_path):
+    # the pause writes its checkpoint first; the `paused:` line is what fails
+    ckpt = str(tmp_path / "C")
+    argv = ["enumerate", "--ell", "3", "--max-frontier", "1", "--checkpoint", ckpt]
+    proc = _run_with_read_only_fd(2, *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert enumeration.read_checkpoint(ckpt, 3, "full")[0] == 1
+
+
+def test_help_into_a_read_only_stdout_exits_2():
+    # argparse swallows an OSError from its help output, so this holds only while
+    # parsing runs inside main's stream guard
+    proc = _run_with_read_only_fd(1, "--help")
+    assert (proc.returncode, proc.stderr) == (2, "error: cannot write stdout: Bad file descriptor\n")
+
+
+def test_main_hands_back_the_callers_own_streams():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["fires", "--chips", "3"]) == 0
+        assert sys.stdout is out and sys.stderr is err
+    with open(os.devnull) as read_only:  # each write to it fails with "not writable"
+        with contextlib.redirect_stdout(read_only), contextlib.redirect_stderr(err):
+            assert main(["fires", "--chips", "3"]) == 2
+            assert sys.stdout is read_only and sys.stderr is err
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(read_only):
+            assert main(["fires", "--chips", "0"]) == 2
+            assert sys.stdout is out and sys.stderr is read_only
+    assert err.getvalue() == "error: cannot write stdout: not writable\n"
+
+
+def test_a_failed_write_to_an_in_memory_stdout_is_reported():
+    # such a stream has no descriptor to point at devnull
+    class Gone(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    err = io.StringIO()
+    with contextlib.redirect_stdout(Gone()), contextlib.redirect_stderr(err):
+        assert main(["fires", "--chips", "3"]) == 2
+    assert err.getvalue() == "error: cannot write stdout: Broken pipe\n"
+
+
+def test_each_progress_line_reaches_the_callers_stderr_in_one_write():
+    # perfbench stamps its per-level times from these write calls
+    class Stderr(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    writes, err = [], Stderr()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["enumerate", "--ell", "3", "--progress"]) == 0
+    lines = err.getvalue().splitlines()
+    assert len(lines) > 1 and all(line.startswith("depth ") for line in lines)
+    assert [text for text in writes if text != "\n"] == lines
 
 
 def test_a_read_only_stdout_exits_2_without_a_traceback():
