@@ -7,11 +7,13 @@ so far is a function of the state itself), states can never recur at a
 later depth, and per-level deduplication is equivalent to a global
 visited set while only two frontiers stay in memory.
 
-States are encoded as `bytes` of length N: byte i holds the vertex
-carrying chip i + 1.  Chips never descend past layer ell (the bottom
-layer never fires), so vertex numbers stay below 2^ell and the encoding
-is bijective with the canonical JSON of labeled configurations; deduping
-on one is deduping on the other.
+A state is encoded as N bytes: byte i holds the vertex carrying chip
+i + 1.  Chips never descend past layer ell (the bottom layer never
+fires), so vertex numbers stay below 2^ell and the encoding is bijective
+with the canonical JSON of labeled configurations; deduping on one is
+deduping on the other.  The search keeps each state as the int those
+bytes read big-endian.  Ints of one byte length order like their bytes,
+so a sorted level of ints is a sorted checkpoint body.
 
 `full` mode branches over every (vertex, triple) choice; `scheduled` mode
 always fires the lowest-index fireable vertex and branches over triples
@@ -39,17 +41,19 @@ worked out once per shadow, not once per state.
 Within a group, the states that hold the same chips on the firing vertex
 v take the same picks, and a pick adds the same number to every one of
 them read as a big-endian int: the sum of (dest - v) * 256^(n - 1 - p)
-over the chips it moves, p being a chip's byte.  So each such subgroup is
-read as ints once, and all its picks are applied to all its states in one
-C-level pass that writes the successors back as `bytes` into the level's
-set.  The mirror quotient happens in the same pass: mirror(x + delta) is
-mirror(x) plus the mirrored move, the smaller of the two is the
-representative, and which side is smaller says whose shadow it has.  No
-dedup is needed within a subgroup: states with the same chips on v that
-differ keep their difference after any pick, and two picks move different
-chips, so equal successors imply the same state and the same pick; the set
-only merges successors that come from different subgroups.  States stay
-`bytes` everywhere else.
+over the chips it moves, p being a chip's byte.  So all the picks of a
+subgroup are applied to all its states in one C-level pass that adds the
+successor ints to the level's set as they are.  The mirror quotient
+happens in the same pass: mirror(x + delta) is mirror(x) plus the
+mirrored move, the smaller of the two is the representative, and which
+side is smaller says whose shadow it has.  No dedup is needed within a
+subgroup: states with the same chips on v that differ keep their
+difference after any pick, and two picks move different chips, so equal
+successors imply the same state and the same pick; the set only merges
+successors that come from different subgroups.  Bytes are made only at
+the edges: once per state and vertex in the kernel, to read the chips on
+v and the mirror; for the stable level's configurations; and in
+checkpoints, whose public reader and writer take bytes.
 
 Corpora and checkpoints share one record format: a JSON header line
 carrying the sha256 of the body, then one sorted record per line.  A
@@ -65,8 +69,10 @@ import functools
 import hashlib
 import itertools
 import json
+import math
 import operator
 import os
+import pickle
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -100,6 +106,8 @@ MODES = ("full", "scheduled")
 # body lines encoded at a time: every encoded chunk is held until the header is
 # written, so this only avoids a whole-body str beside its encoded copy
 _CHUNK_LINES = 1 << 16
+# successors per pickled chunk of a worker's result
+_CHUNK_STATES = 1 << 12
 
 
 class CorpusError(ValueError):
@@ -145,13 +153,6 @@ class StableSet:
 # states
 
 
-def _cells_of(state: bytes) -> dict[int, list[int]]:
-    cells: dict[int, list[int]] = {}
-    for idx, v in enumerate(state):
-        cells.setdefault(v, []).append(idx + 1)
-    return cells
-
-
 # the mirror of vertex v on layer k, 3 * 2^(k-1) - 1 - v, sits as far from
 # the other end of layer k; one table serves every ell up to 8
 _MIRROR = bytes([0] + [3 * (1 << (v.bit_length() - 1)) - 1 - v for v in range(1, 256)])
@@ -162,16 +163,40 @@ def _mirror(state: bytes) -> bytes:
     return state[::-1].translate(_MIRROR)
 
 
+def _encode(states: Iterable[int], n: int) -> Iterator[bytes]:
+    """The byte encodings of n-chip state ints."""
+    return map(int.to_bytes, states, itertools.repeat(n), itertools.repeat("big"))
+
+
+def _mirrors(encoded: Iterable[bytes]) -> Iterator[int]:
+    """The mirror of each encoded state, as an int: a mirror read big-endian is
+    the translated state read little-endian."""
+    translated = map(bytes.translate, encoded, itertools.repeat(_MIRROR))
+    return map(int.from_bytes, translated, itertools.repeat("little"))
+
+
 def _shadow(state: bytes) -> bytes:
     """How many chips each vertex of `state` holds, indexed by vertex (entry 0 unused)."""
     return bytes(map(state.count, range(len(state) + 1)))
 
 
-def _orbit_count(states: Collection[bytes], mode: str) -> int:
-    """How many states `states` stands for: two per mirror pair in full mode."""
+def _mirror_shadow(shadow: bytes) -> bytes:
+    """The shadow of the mirrors of the states with `shadow`."""
+    return bytes(map(shadow.__getitem__, _MIRROR[: len(shadow)]))
+
+
+def _orbit_count(states: Collection[int], mode: str, n: int, shadow: bytes | None = None) -> int:
+    """How many states the n-chip `states` stand for: two per mirror pair in full mode.
+
+    A state that is its own mirror has a shadow that is its own mirror, so
+    states known to share a `shadow` that is not are counted without
+    comparing any of them with its mirror.
+    """
     if mode != "full":
         return len(states)
-    return 2 * len(states) - sum(1 for s in states if s == _mirror(s))
+    if shadow is not None and _mirror_shadow(shadow) != shadow:
+        return 2 * len(states)
+    return 2 * len(states) - sum(map(operator.eq, states, _mirrors(_encode(states, n))))
 
 
 def _fire_vector(shadow: bytes) -> list[int] | None:
@@ -236,8 +261,8 @@ def _moves(tables: tuple, picks: list[tuple[int, int, int]], xs: Iterable[int]) 
 
 
 def _expand_batch(
-    args: tuple[bytes, Collection[bytes], str, int], level: dict[bytes, set[bytes]] | None = None
-) -> dict[bytes, set[bytes]]:
+    args: tuple[bytes, Collection[int], str, int], level: dict[bytes, set[int]] | None = None
+) -> dict[bytes, set[int]]:
     """The successors of `states`, which all have `shadow` and sit at `depth`,
     below the stabilization depth, keyed by their shadow and merged into `level`.
 
@@ -246,13 +271,12 @@ def _expand_batch(
     """
     shadow, states, mode, depth = args
     level = {} if level is None else level
+    n, full = len(shadow) - 1, mode == "full"
     fireable = [v for v, chips in enumerate(shadow) if chips >= 3]
     if not fireable:
-        raise AssertionError(f"stable state {next(iter(states)).hex()} at depth {depth}")
+        raise AssertionError(f"stable state {next(iter(states)):0{2 * n}x} at depth {depth}")
     if mode == "scheduled":
         del fireable[1:]
-    n, full = len(shadow) - 1, mode == "full"
-    big, little, width = itertools.repeat("big"), itertools.repeat("little"), itertools.repeat(n)
     for v in fireable:
         dests, tables, mirror_tables = _move_tables(n, v)
         moved = bytearray(shadow)
@@ -261,12 +285,13 @@ def _expand_batch(
             moved[dest] += 1
         child = bytes(moved)
         # a representative that is a mirror has the mirrored shadow
-        mirrored = bytes(map(child.__getitem__, _MIRROR[: n + 1])) if full else child
+        mirrored = _mirror_shadow(child) if full else child
         kept, swapped = level.setdefault(child, set()), level.setdefault(mirrored, set())
         # states with the same chips on v take the same picks
         on_v = bytes(v) + b"\x01" + bytes(255 - v)
-        subgroups: dict[bytes, list[bytes]] = {}
-        for state, chips in zip(states, map(bytes.translate, states, itertools.repeat(on_v))):
+        subgroups: dict[bytes, list[int]] = {}
+        keys = map(bytes.translate, _encode(states, n), itertools.repeat(on_v))
+        for state, chips in zip(states, keys):
             subgroups.setdefault(chips, []).append(state)
         for chips, members in subgroups.items():
             pos = list(itertools.compress(range(n), chips))
@@ -275,46 +300,63 @@ def _expand_batch(
                 picks = [(a, pos[j + 1], c) for j, a in enumerate(pos) for c in pos[j + 2 :]]
             else:
                 picks = list(itertools.combinations(pos, 3))
-            ys = _moves(tables, picks, map(int.from_bytes, members, big))
             if not full:
-                kept.update(map(int.to_bytes, ys, width, big))
+                kept.update(_moves(tables, picks, members))
                 continue
-            # mirror(x + delta) = mirror(x) + mirrored delta; a mirror read
-            # big-endian is the translated state read little-endian
-            mirrors = map(bytes.translate, members, itertools.repeat(_MIRROR))
-            ms = _moves(mirror_tables, picks, map(int.from_bytes, mirrors, little))
+            # mirror(x + delta) = mirror(x) + mirrored delta
+            ys = _moves(tables, picks, members)
+            ms = _moves(mirror_tables, picks, _mirrors(_encode(members, n)))
             if swapped is kept:
-                kept.update(map(int.to_bytes, map(min, ys, ms), width, big))
+                kept.update(map(min, ys, ms))
                 continue
             # the representative is the smaller one, under its own shadow
             ys, ms = list(ys), list(ms)
             lower = list(map(int.__lt__, ys, ms))
-            kept.update(map(int.to_bytes, itertools.compress(ys, lower), width, big))
-            swapped.update(
-                map(int.to_bytes, itertools.compress(ms, map(operator.not_, lower)), width, big)
-            )
+            kept.update(itertools.compress(ys, lower))
+            swapped.update(itertools.compress(ms, map(operator.not_, lower)))
         for key in {child, mirrored}:
             if not level[key]:
                 del level[key]
     return level
 
 
-def _unpack(packed: bytes, n_chips: int) -> Iterator[bytes]:
-    return (packed[i : i + n_chips] for i in range(0, len(packed), n_chips))
+def _expand_pickled(args: tuple[bytes, Collection[int], str, int]) -> dict[bytes, list[bytes]]:
+    """_expand_batch in a worker process, each shadow's successors sent back as
+    lists of at most _CHUNK_STATES ints, each list pickled on its own.
 
-
-def _expand_packed(args: tuple[bytes, bytes, int, str, int]) -> dict[bytes, bytes]:
-    """_expand_batch in a worker process, with the states of each shadow packed
-    into one bytes object.
-
-    One object pickles without a per-state memo entry, and the main
-    process unpacks the successors one at a time into its level's sets, so
-    states that another batch already produced are freed at once instead
-    of piling up and fragmenting the main process's heap.
+    The main process unpickles one chunk at a time straight into its set
+    for that shadow.  A result unpickled whole would hold millions of ints
+    at once, most of them states that another batch already produced, and
+    the main process's heap would stay that much larger after they are freed.
     """
-    shadow, packed, n_chips, mode, depth = args
-    level = _expand_batch((shadow, list(_unpack(packed, n_chips)), mode, depth))
-    return {child: b"".join(states) for child, states in level.items()}
+    pickled: dict[bytes, list[bytes]] = {}
+    for child, group in _expand_batch(args).items():
+        states, chunks = iter(group), []
+        while chunk := list(itertools.islice(states, _CHUNK_STATES)):
+            chunks.append(pickle.dumps(chunk, pickle.HIGHEST_PROTOCOL))
+        pickled[child] = chunks
+    return pickled
+
+
+def _stable_configs(shadow: bytes, states: Iterable[int]) -> Iterator[tuple[str, LabeledConfig]]:
+    """The canonical JSON and the configuration of each state with `shadow`.
+
+    Both are read off the state's labels sorted by (vertex, label): the
+    JSON is a template made once for the shadow, filled with those labels,
+    and each vertex's cell is a slice of them.
+    """
+    n = len(shadow) - 1
+    cells = {v: ["%d"] * chips for v, chips in enumerate(shadow) if chips}
+    template = LabeledConfig(n, cells).canonical_json().replace('"%d"', "%d")
+    ends = list(itertools.accumulate(map(len, cells.values())))
+    slices = list(zip(cells, [0, *ends], ends))
+    labels = range(1, n + 1)
+    # byte i of a state written in n + 1 bytes is the vertex of chip i
+    for padded in map(int.to_bytes, states, itertools.repeat(n + 1), itertools.repeat("big")):
+        ordered = sorted(labels, key=padded.__getitem__)
+        yield template % tuple(ordered), LabeledConfig(
+            n, {v: ordered[a:b] for v, a, b in slices}
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +385,8 @@ def enumerate_stable(
     kept keyed by shadow, and the fire vector of every shadow on every
     level, the last one included, is checked, after a resume too.  A
     resumed frontier that breaks an invariant of the search raises
-    CorpusError.
+    CorpusError.  A NaN `max_seconds` or `checkpoint_every` raises
+    ValueError; infinity means no limit.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -353,6 +396,9 @@ def enumerate_stable(
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    # every comparison with NaN is false: the search would never pause or checkpoint
+    if math.isnan(checkpoint_every) or max_seconds is not None and math.isnan(max_seconds):
+        raise ValueError("checkpoint_every and max_seconds must not be NaN")
     # more processes than CPUs only add memory and pickling; results never depend on it
     workers = min(workers, os.cpu_count() or 1)
 
@@ -362,16 +408,22 @@ def enumerate_stable(
     budgets = [0] + [per_layer[v.bit_length() - 1] for v in range(1, n_chips + 1)]
 
     if resume_path is not None:
-        depth, states, explored, max_seen = read_checkpoint(resume_path, ell, mode)
+        depth, read, explored, max_seen = read_checkpoint(resume_path, ell, mode)
     else:
-        depth, states, explored, max_seen = 0, [bytes([1]) * n_chips], 0, 1
-    size = _orbit_count(states, mode)
-    # the level keyed by shadow; `states` is grouped only before its first check,
-    # so a resumed search that pauses at once writes the sorted list it read
-    frontier: dict[bytes, Collection[bytes]] | None = None
+        depth, read, explored, max_seen = 0, [bytes([1]) * n_chips], 0, 1
+    size = _orbit_count(list(map(int.from_bytes, read, itertools.repeat("big"))), mode, n_chips)
+    # the level keyed by shadow, its states as ints; the level as read is grouped
+    # only before its first check, so a resumed search that pauses at once writes
+    # the sorted list it read
+    frontier: dict[bytes, Collection[int]] | None = None
 
-    def level() -> Iterable[bytes]:
-        return states if frontier is None else itertools.chain.from_iterable(frontier.values())
+    def level(drain: bool = False) -> Iterable[bytes]:
+        if frontier is None:
+            return read
+        groups: Iterable[Collection[int]] = frontier.values()
+        if drain:  # the search stops: each group is freed once it is encoded
+            groups = (frontier.popitem()[1] for _ in range(len(frontier)))
+        return _encode(itertools.chain.from_iterable(groups), n_chips)
 
     started = time.monotonic()
     last_checkpoint = started
@@ -379,7 +431,7 @@ def enumerate_stable(
 
     def pause(reason: str) -> EnumerationPaused:
         if checkpoint_path is not None:
-            write_checkpoint(checkpoint_path, ell, mode, depth, level(), explored, max_seen)
+            write_checkpoint(checkpoint_path, ell, mode, depth, level(True), explored, max_seen)
         return EnumerationPaused(reason, checkpoint_path, depth, size)
 
     try:
@@ -403,29 +455,31 @@ def enumerate_stable(
                 )
             if frontier is None:
                 frontier = {}
-                for state in states:
-                    frontier.setdefault(_shadow(state), []).append(state)
-                states = []
+                for state in read:
+                    frontier.setdefault(_shadow(state), []).append(int.from_bytes(state, "big"))
+                read = []
             _check_fire_vectors(frontier, depth, budgets)
             if depth == target_depth:
                 break
 
-            next_frontier: dict[bytes, Collection[bytes]] = {}
+            next_frontier: dict[bytes, Collection[int]] = {}
             if pool is not None:
-                # every group is a sorted list here; neighbours in byte order share
+                # every group is a sorted list here; neighbours in order share
                 # their low-label chips and many successors, so contiguous batches
                 # dedup those in the worker
                 chunk = max(1, sum(map(len, frontier.values())) // (workers * 8))
                 # a generator: map() submits every batch at once, and no list keeps
                 # a batch alive once its result is back
                 batches = (
-                    (shadow, b"".join(group[i : i + chunk]), n_chips, mode, depth)
+                    (shadow, group[i : i + chunk], mode, depth)
                     for shadow, group in frontier.items()
                     for i in range(0, len(group), chunk)
                 )
-                for result in pool.map(_expand_packed, batches):
-                    for child, packed in result.items():
-                        next_frontier.setdefault(child, set()).update(_unpack(packed, n_chips))
+                for result in pool.map(_expand_pickled, batches):
+                    for child, pickled in result.items():
+                        merged = next_frontier.setdefault(child, set())
+                        for states in pickled:
+                            merged.update(pickle.loads(states))
                 # a sorted list takes a fraction of a set's memory while the level waits
                 for child, group in next_frontier.items():
                     next_frontier[child] = sorted(group)
@@ -434,7 +488,9 @@ def enumerate_stable(
                     _expand_batch((shadow, group, mode, depth), next_frontier)
             explored += size
             frontier = next_frontier
-            size = sum(_orbit_count(group, mode) for group in frontier.values())
+            size = sum(
+                _orbit_count(group, mode, n_chips, shadow) for shadow, group in frontier.items()
+            )
             max_seen = max(max_seen, size)
             depth += 1
         explored += size
@@ -451,12 +507,18 @@ def enumerate_stable(
         if pool is not None:
             pool.shutdown()
 
-    stable = level()
-    if mode == "full":
-        stable = {m for s in stable for m in (s, _mirror(s))}
+    # the stable level by shadow, in whole orbits
+    stable: dict[bytes, set[int]] = {}
+    for shadow, group in frontier.items():
+        stable.setdefault(shadow, set()).update(group)
+        if mode == "full":
+            stable.setdefault(_mirror_shadow(shadow), set()).update(
+                _mirrors(_encode(group, n_chips))
+            )
     # each config's canonical JSON is built once: it orders the set and save() writes it
-    configs = [LabeledConfig(n_chips, dict(sorted(_cells_of(s).items()))) for s in stable]
-    keyed = sorted(zip(map(LabeledConfig.canonical_json, configs), configs))
+    keyed = sorted(
+        itertools.chain.from_iterable(itertools.starmap(_stable_configs, stable.items()))
+    )
     result = StableSet(
         ell=ell,
         configs=[config for _, config in keyed],

@@ -397,6 +397,23 @@ class TestEnumerateAndCorpus:
         code, _ = run_cli(capsys, "enumerate", "--ell", "2", "--workers", workers)
         assert code == 2
 
+    @pytest.mark.parametrize("flag", ["--max-seconds", "--checkpoint-every"])
+    def test_a_nan_budget_is_a_usage_error(self, capsys, tmp_path, flag):
+        ckpt = str(tmp_path / "z3.ckpt")
+        argv = ["enumerate", "--ell", "3", "--checkpoint", ckpt, flag, "nan"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: checkpoint_every and max_seconds must not be NaN\n"
+        assert not os.path.exists(ckpt)
+
+    def test_an_infinite_budget_is_no_limit(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "z3.ckpt")
+        argv = ["--checkpoint", ckpt, "--max-seconds", "inf", "--checkpoint-every", "inf"]
+        code, out = run_cli(capsys, "enumerate", "--ell", "3", *argv)
+        assert (code, out) == (0, "Z_3 = 6\n")
+        assert not os.path.exists(ckpt)
+
     def test_enumerate_json_summary(self, capsys):
         code, out = run_cli(capsys, "enumerate", "--ell", "2", "--json")
         assert code == 0

@@ -97,10 +97,19 @@ def orbits(states):
     return {m for s in states for m in (s, enumeration._mirror(s))}
 
 
+def ints(states):
+    return [int.from_bytes(state, "big") for state in states]
+
+
+def encoded(groups, n_chips):
+    """The states of the search's {shadow: state ints} groups, as bytes."""
+    return {x.to_bytes(n_chips, "big") for group in groups.values() for x in group}
+
+
 def expand(state, mode, depth):
     """One state's successors, as the search's expansion of its shadow group returns them."""
-    groups = enumeration._expand_batch((enumeration._shadow(state), [state], mode, depth))
-    return set().union(*groups.values())
+    groups = enumeration._expand_batch((enumeration._shadow(state), ints([state]), mode, depth))
+    return encoded(groups, len(state))
 
 
 def checkpoint_body(data):
@@ -136,6 +145,14 @@ class TestGroundTruth:
             enumeration.enumerate_stable(0)
         with pytest.raises(ValueError):
             enumeration.enumerate_stable(3, mode="depth-first")
+
+    @pytest.mark.parametrize("budget", ["max_seconds", "checkpoint_every"])
+    def test_a_nan_budget_is_refused(self, tmp_path, budget):
+        # every comparison with NaN is false: the search would never pause or checkpoint
+        ckpt = tmp_path / "z3.ckpt"
+        with pytest.raises(ValueError, match="NaN"):
+            enumeration.enumerate_stable(3, checkpoint_path=str(ckpt), **{budget: float("nan")})
+        assert not ckpt.exists()
 
 
 class TestDeterminismAndModes:
@@ -310,9 +327,9 @@ class TestWholeGroups:
             subgroups.setdefault(state.translate(bytes([0, 1]) + bytes(254)), []).append(state)
         group = max(subgroups.values(), key=len)
         assert len(group) == 2
-        level = enumeration._expand_batch((enumeration._shadow(group[0]), group, "full", 2))
+        level = enumeration._expand_batch((enumeration._shadow(group[0]), ints(group), "full", 2))
         plain = set().union(*map(plain_successors, group))
-        assert orbits(set().union(*level.values())) == orbits(plain)
+        assert orbits(encoded(level, 31)) == orbits(plain)
 
 
 class TestShadowGroups:
@@ -329,6 +346,7 @@ class TestShadowGroups:
                 # the vertices of a state with this shadow, in ascending order
                 chips = b"".join(bytes([v]) * count for v, count in enumerate(shadow))
                 for state in states:
+                    state = state.to_bytes(len(chips), "big")
                     assert bytes(sorted(state)) == chips, (depth, state.hex())
             depths.append(depth)
             check(level, depth, budgets)
@@ -362,11 +380,44 @@ class TestShadowGroups:
         assert checked == list(range(pause_depth))
 
 
+class TestOrbitCount:
+    def test_only_a_self_mirror_shadow_is_compared_with_mirrors(self, monkeypatch):
+        fired = bytes([2, 1, 3, 1, 1, 1, 1])  # the root fired once: a self-mirror shadow
+        assert enumeration._mirror(fired) == bytes([1, 1, 1, 1, 2, 1, 3]) != fired
+        palindrome = bytes([2, 1, 1, 1, 1, 1, 3])  # chip 1 on vertex 2, chip 7 on vertex 3
+        assert enumeration._mirror(palindrome) == palindrome
+        shadow = enumeration._shadow(fired)
+        assert enumeration._mirror_shadow(shadow) == shadow == enumeration._shadow(palindrome)
+        group = ints([fired, palindrome])
+        assert enumeration._orbit_count(group, "full", 7, shadow) == 3
+        assert enumeration._orbit_count(group, "full", 7) == 3
+        assert enumeration._orbit_count(group, "scheduled", 7, shadow) == 2
+
+        left = bytes([2, 1, 2, 2, 1, 1, 1])  # three chips on vertex 2, none on vertex 3
+        lopsided = enumeration._shadow(left)
+        assert enumeration._mirror_shadow(lopsided) != lopsided
+        monkeypatch.setattr(enumeration, "_mirrors", None)  # never called for this group
+        assert enumeration._orbit_count(ints([left]), "full", 7, lopsided) == 2
+
+
 class TestWorkers:
     @pytest.mark.parametrize("workers", [0, -1])
     def test_fewer_than_one_worker_is_an_error(self, workers):
         with pytest.raises(ValueError, match="workers"):
             enumeration.enumerate_stable(2, workers=workers)
+
+    @pytest.mark.parametrize("mode", enumeration.MODES)
+    def test_one_process_and_the_pool_write_the_same_checkpoint(self, mode, tmp_path):
+        written = []
+        for workers in (1, 2):
+            ckpt = tmp_path / f"{workers}.ckpt"
+            with pytest.raises(enumeration.EnumerationPaused) as info:
+                enumeration.enumerate_stable(
+                    4, mode=mode, workers=workers, max_frontier=50_000, checkpoint_path=str(ckpt)
+                )
+            assert info.value.depth == 4
+            written.append(ckpt.read_bytes())
+        assert written[0] == written[1]
 
     def test_pool_is_capped_at_the_cpu_count(self, stable3, monkeypatch):
         started = []
@@ -413,8 +464,31 @@ class TestPersistence:
 
         monkeypatch.setattr(labeled.LabeledConfig, "canonical_json", counted)
         result = enumeration.enumerate_stable(3)
-        enumeration.save(result, str(tmp_path / "z3.jsonl"))
-        assert len(calls) == result.count == 6
+        path = tmp_path / "z3.jsonl"
+        enumeration.save(result, str(path))
+        # one template for the one stable shadow, filled in for each of the 6 configs
+        assert len(calls) == 1 and result.count == 6
+        monkeypatch.undo()
+        assert path.read_text().splitlines()[1:] == [c.canonical_json() for c in result.configs]
+
+    @pytest.mark.parametrize("mode", enumeration.MODES)
+    def test_keys_are_the_configs_canonical_json_in_order(self, mode):
+        result = enumeration.enumerate_stable(3, mode=mode)
+        keys = [config.canonical_json() for config in result.configs]
+        assert result.canonical_keys() == keys == sorted(keys)
+
+    def test_configs_of_every_shadow_match_canonical_json(self):
+        # every state the 7-chip game reaches, stable or not: cells of 0 to 7 chips
+        groups = {}
+        for config, _ in tallied_bfs(7):
+            state = state_of(config)
+            shadow_group = groups.setdefault(enumeration._shadow(state), {})
+            shadow_group[int.from_bytes(state, "big")] = config
+        assert len(groups) == 8
+        for shadow, configs in groups.items():
+            built = list(enumeration._stable_configs(shadow, configs))
+            assert [config for _, config in built] == list(configs.values())
+            assert [key for key, _ in built] == [c.canonical_json() for c in configs.values()]
 
     def test_save_sorts_a_set_given_out_of_order(self, stable3, tmp_path):
         ordered, shuffled = tmp_path / "ordered.jsonl", tmp_path / "shuffled.jsonl"
@@ -632,7 +706,7 @@ SCHEDULED_BODY_SHA256 = "d6e1ba0382ea2753c98c9cf2bb6c6f56570cf4d18fbf6ab8e6da9e6
 @pytest.mark.long
 @pytest.mark.skipif(
     os.environ.get("CHIPFIRE_RUN_LONG") != "1",
-    reason="full 4-layer enumeration: 159 s with 2 workers on 2 cores (BENCH_12.json); "
+    reason="full 4-layer enumeration: 143 s with 2 workers on 2 cores (BENCH_15.json); "
     "set CHIPFIRE_RUN_LONG=1",
 )
 class TestFourLayersFull:
