@@ -52,8 +52,9 @@ difference after any pick, and two picks move different chips, so equal
 successors imply the same state and the same pick; the set only merges
 successors that come from different subgroups.  Bytes are made only at
 the edges: once per state and vertex in the kernel, to read the chips on
-v and the mirror; for the stable level's configurations; and in
-checkpoints, whose public reader and writer take bytes.
+v and the mirror; for the stable level's configurations; and for
+checkpoint lines.  A checkpoint is read into the same {shadow: ints}
+level that the search keeps, and written from it.
 
 Corpora and checkpoints share one record format: a JSON header line
 carrying the sha256 of the body, then one sorted record per line.  A
@@ -103,8 +104,7 @@ VERSIONS = {CORPUS_FORMAT: 1, CHECKPOINT_FORMAT: 2}
 
 MODES = ("full", "scheduled")
 
-# body lines encoded at a time: every encoded chunk is held until the header is
-# written, so this only avoids a whole-body str beside its encoded copy
+# body lines encoded and written at a time
 _CHUNK_LINES = 1 << 16
 # successors per pickled chunk of a worker's result
 _CHUNK_STATES = 1 << 12
@@ -185,18 +185,19 @@ def _mirror_shadow(shadow: bytes) -> bytes:
     return bytes(map(shadow.__getitem__, _MIRROR[: len(shadow)]))
 
 
-def _orbit_count(states: Collection[int], mode: str, n: int, shadow: bytes | None = None) -> int:
-    """How many states the n-chip `states` stand for: two per mirror pair in full mode.
+def _orbit_count(shadow: bytes, states: Collection[int], mode: str) -> int:
+    """How many states the `states` with `shadow` stand for: two per mirror pair in full mode.
 
     A state that is its own mirror has a shadow that is its own mirror, so
-    states known to share a `shadow` that is not are counted without
-    comparing any of them with its mirror.
+    states whose shadow is not are counted without comparing any of them
+    with its mirror.
     """
     if mode != "full":
         return len(states)
-    if shadow is not None and _mirror_shadow(shadow) != shadow:
+    if _mirror_shadow(shadow) != shadow:
         return 2 * len(states)
-    return 2 * len(states) - sum(map(operator.eq, states, _mirrors(_encode(states, n))))
+    mirrors = _mirrors(_encode(states, len(shadow) - 1))
+    return 2 * len(states) - sum(map(operator.eq, states, mirrors))
 
 
 def _fire_vector(shadow: bytes) -> list[int] | None:
@@ -383,10 +384,10 @@ def enumerate_stable(
     process per CPU.  Every path stabilizes after exactly F(2^ell - 1)
     fires, so the level at that depth is the stable set.  Each level is
     kept keyed by shadow, and the fire vector of every shadow on every
-    level, the last one included, is checked, after a resume too.  A
-    resumed frontier that breaks an invariant of the search raises
-    CorpusError.  A NaN `max_seconds` or `checkpoint_every` raises
-    ValueError; infinity means no limit.
+    level, the last one and a resumed one included, is checked before the
+    level can be written to a checkpoint.  A resumed frontier that breaks
+    an invariant of the search raises CorpusError.  A NaN `max_seconds`
+    or `checkpoint_every` raises ValueError; infinity means no limit.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -408,22 +409,10 @@ def enumerate_stable(
     budgets = [0] + [per_layer[v.bit_length() - 1] for v in range(1, n_chips + 1)]
 
     if resume_path is not None:
-        depth, read, explored, max_seen = read_checkpoint(resume_path, ell, mode)
+        depth, frontier, explored, max_seen = read_checkpoint(resume_path, ell, mode)
     else:
-        depth, read, explored, max_seen = 0, [bytes([1]) * n_chips], 0, 1
-    size = _orbit_count(list(map(int.from_bytes, read, itertools.repeat("big"))), mode, n_chips)
-    # the level keyed by shadow, its states as ints; the level as read is grouped
-    # only before its first check, so a resumed search that pauses at once writes
-    # the sorted list it read
-    frontier: dict[bytes, Collection[int]] | None = None
-
-    def level(drain: bool = False) -> Iterable[bytes]:
-        if frontier is None:
-            return read
-        groups: Iterable[Collection[int]] = frontier.values()
-        if drain:  # the search stops: each group is freed once it is encoded
-            groups = (frontier.popitem()[1] for _ in range(len(frontier)))
-        return _encode(itertools.chain.from_iterable(groups), n_chips)
+        depth, explored, max_seen, root = 0, 0, 0, bytes([1]) * n_chips
+        frontier = {_shadow(root): [int.from_bytes(root, "big")]}
 
     started = time.monotonic()
     last_checkpoint = started
@@ -431,11 +420,16 @@ def enumerate_stable(
 
     def pause(reason: str) -> EnumerationPaused:
         if checkpoint_path is not None:
-            write_checkpoint(checkpoint_path, ell, mode, depth, level(True), explored, max_seen)
+            write_checkpoint(checkpoint_path, ell, mode, depth, frontier, explored, max_seen)
         return EnumerationPaused(reason, checkpoint_path, depth, size)
 
     try:
         while True:
+            # every level, a resumed one included, is counted and checked before
+            # it can be written
+            size = sum(_orbit_count(shadow, group, mode) for shadow, group in frontier.items())
+            max_seen = max(max_seen, size)
+            _check_fire_vectors(frontier, depth, budgets)
             if max_seconds is not None and time.monotonic() - started > max_seconds:
                 raise pause("time budget exhausted")
             if max_frontier is not None and size > max_frontier:
@@ -444,7 +438,7 @@ def enumerate_stable(
                 checkpoint_path is not None
                 and time.monotonic() - last_checkpoint >= checkpoint_every
             ):
-                write_checkpoint(checkpoint_path, ell, mode, depth, level(), explored, max_seen)
+                write_checkpoint(checkpoint_path, ell, mode, depth, frontier, explored, max_seen)
                 last_checkpoint = time.monotonic()
             if progress:
                 print(
@@ -453,12 +447,6 @@ def enumerate_stable(
                     file=sys.stderr,
                     flush=True,
                 )
-            if frontier is None:
-                frontier = {}
-                for state in read:
-                    frontier.setdefault(_shadow(state), []).append(int.from_bytes(state, "big"))
-                read = []
-            _check_fire_vectors(frontier, depth, budgets)
             if depth == target_depth:
                 break
 
@@ -488,10 +476,6 @@ def enumerate_stable(
                     _expand_batch((shadow, group, mode, depth), next_frontier)
             explored += size
             frontier = next_frontier
-            size = sum(
-                _orbit_count(group, mode, n_chips, shadow) for shadow, group in frontier.items()
-            )
-            max_seen = max(max_seen, size)
             depth += 1
         explored += size
         # raised, not asserted: python -O must not resume a forged frontier
@@ -552,22 +536,29 @@ def extract_subtree_orders(stable_set: StableSet, depth: int) -> set[str]:
 
 
 def _write_records(path: str, fmt: str, fields: dict, lines: Iterable[str]) -> None:
-    """Atomically write a header (with the body's sha256), then the sorted `lines`."""
-    lines, chunks, digest = iter(lines), [], hashlib.sha256()
-    while batch := list(itertools.islice(lines, _CHUNK_LINES)):
-        chunks.append(("\n".join(batch) + "\n").encode())
-        digest.update(chunks[-1])
-    header = {"format": fmt, "version": VERSIONS[fmt], **fields, "sha256": digest.hexdigest()}
-    tmp = path + ".tmp"
+    """Atomically write a header (with the body's sha256), then the sorted `lines`.
+
+    The body is written a chunk at a time after a header whose sha256 is
+    zeros, and the real header, of the same length, then overwrites it.
+    """
+    header = {"format": fmt, "version": VERSIONS[fmt], **fields, "sha256": "0" * 64}
+    lines, digest, tmp = iter(lines), hashlib.sha256(), path + ".tmp"
     try:
         with open(tmp, "wb") as handle:
             handle.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-            handle.writelines(chunks)
+            while batch := list(itertools.islice(lines, _CHUNK_LINES)):
+                chunk = ("\n".join(batch) + "\n").encode()
+                digest.update(chunk)
+                handle.write(chunk)
+            header["sha256"] = digest.hexdigest()
+            handle.seek(0)
+            handle.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
         os.replace(tmp, path)
     except OSError as exc:
-        with contextlib.suppress(OSError):  # a partial file, if the write got that far
-            os.remove(tmp)
         raise CorpusError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):  # a partial file, if one is left
+            os.remove(tmp)
 
 
 def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **expected):
@@ -609,6 +600,7 @@ def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **
         )
     if hashlib.sha256(body).hexdigest() != header.get("sha256"):
         raise CorpusError(f"{path}: checksum mismatch")
+    del body  # its lines hold the same bytes
     records = []
     for i, line in enumerate(lines, start=2):
         try:
@@ -656,18 +648,18 @@ def write_checkpoint(
     ell: int,
     mode: str,
     depth: int,
-    frontier: Iterable[bytes],
+    frontier: dict[bytes, Collection[int]],
     explored: int,
     max_seen: int,
 ) -> None:
-    """Write the frontier as the search keeps it: mirror representatives in full mode.
+    """Write a level, {shadow: state ints}: mirror representatives in full mode.
 
-    `frontier_count` is the number of body lines; `explored` and
+    The body is every state's bytes in hex, one per line, in ascending
+    order.  `frontier_count` is the number of body lines; `explored` and
     `max_seen` are in unreduced states.
     """
-    # states have one length, so their byte order is the order of their hex; a
-    # frontier made of sorted runs, as a resumed one is, sorts in about linear time
-    states = sorted(frontier)
+    # a level made of sorted runs, as a pooled or resumed one is, sorts in about linear time
+    states = sorted(itertools.chain.from_iterable(frontier.values()))
     fields = {
         "ell": ell,
         "mode": mode,
@@ -676,16 +668,17 @@ def write_checkpoint(
         "explored_states": explored,
         "max_frontier": max_seen,
     }
-    _write_records(path, CHECKPOINT_FORMAT, fields, map(bytes.hex, states))
+    _write_records(path, CHECKPOINT_FORMAT, fields, map(bytes.hex, _encode(states, 2**ell - 1)))
 
 
-def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, list[bytes], int, int]:
-    """Read a checkpoint written by write_checkpoint(): depth, frontier, explored, max_seen.
+def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, dict, int, int]:
+    """Read a checkpoint written by write_checkpoint(): depth, level, explored, max_seen.
 
-    The frontier is the body's states in their order, which must be
-    strictly ascending, as write_checkpoint() leaves it: a repeated state
-    would be counted twice.  In full mode every state must be the smaller
-    of its mirror pair.
+    The level is {shadow: state ints}, each group in ascending order.  The
+    body's states must be strictly ascending, as write_checkpoint() leaves
+    them: a repeated state would be counted twice.  In full mode every
+    state must be the smaller of its mirror pair.  An absent counter reads
+    as 0.
     """
     n_chips = 2**ell - 1
     vertices = bytes(range(1, n_chips + 1))
@@ -703,12 +696,16 @@ def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, list[bytes], i
     )
     if not states:
         raise CorpusError(f"{path}: checkpoint frontier is empty")
-    for line, (before, state) in enumerate(itertools.pairwise(states), start=3):
-        if state <= before:
-            raise CorpusError(f"{path}: line {line}: state is not above the one before it")
     target = unlabeled.total_fires(n_chips)
     if not 0 <= header["depth"] <= target:
         raise CorpusError(f"{path}: line 1: depth {header['depth']} is outside 0..{target}")
-    explored = header.get("explored_states", 0)
-    max_seen = header.get("max_frontier", len(states))
-    return header["depth"], states, explored, max_seen
+    # states with the same chips in ascending order share a shadow
+    groups: dict[tuple[int, ...], list[int]] = {}
+    before = b""
+    for line, state in enumerate(states, start=2):
+        if state <= before:
+            raise CorpusError(f"{path}: line {line}: state is not above the one before it")
+        groups.setdefault(tuple(sorted(state)), []).append(int.from_bytes(state, "big"))
+        before = state
+    level = {_shadow(bytes(chips)): group for chips, group in groups.items()}
+    return header["depth"], level, header.get("explored_states", 0), header.get("max_frontier", 0)

@@ -331,6 +331,21 @@ class TestEnumerateAndCorpus:
         assert code == 0
         assert "Z_3 = 6" in out
 
+    def test_a_resume_without_max_frontier_counts_the_resumed_level(self, capsys, tmp_path):
+        # the pause is at depth 2, whose 36 states (20 lines) are the largest level
+        ckpt = str(tmp_path / "z3.ckpt")
+        argv = ["enumerate", "--ell", "3", "--json"]
+        code, out = run_cli(capsys, *argv)
+        assert (code, json.loads(out)["max_frontier"]) == (0, 36)
+        code, _ = run_cli(capsys, *argv, "--max-frontier", "30", "--checkpoint", ckpt)
+        head, body = open(ckpt, "rb").read().split(b"\n", 1)
+        header = json.loads(head)
+        assert (code, header["depth"], header["frontier_count"]) == (4, 2, 20)
+        del header["max_frontier"]
+        open(ckpt, "wb").write(json.dumps(header).encode() + b"\n" + body)
+        code, out = run_cli(capsys, *argv, "--resume", ckpt)
+        assert (code, json.loads(out)["max_frontier"]) == (0, 36)
+
     def test_checkpoint_version_mismatch_exit_code(self, capsys, tmp_path):
         ckpt = str(tmp_path / "z3.ckpt")
         run_cli(capsys, "enumerate", "--ell", "3", "--max-frontier", "5", "--checkpoint", ckpt)
@@ -450,16 +465,24 @@ def _forge_non_utf8(path):
     open(path, "wb").write(b"\xff\xfe\x00not a checkpoint\n")
 
 
+def _level(states):
+    """The search's {shadow: ascending state ints} level of the bytes `states`."""
+    level = {}
+    for state in sorted(states):
+        level.setdefault(enumeration._shadow(state), []).append(int.from_bytes(state, "big"))
+    return level
+
+
 def _forge_empty_frontier(path):
-    enumeration.write_checkpoint(path, 3, "full", 2, set(), 3, 15)
+    enumeration.write_checkpoint(path, 3, "full", 2, {}, 3, 15)
 
 
 def _forge_all_chips_on_vertex_7(path):
-    enumeration.write_checkpoint(path, 3, "full", 4, {bytes([7] * 7)}, 10, 15)
+    enumeration.write_checkpoint(path, 3, "full", 4, _level([bytes([7] * 7)]), 10, 15)
 
 
 def _forge_unreachable_representative(path):
-    enumeration.write_checkpoint(path, 3, "full", 4, {bytes([4] * 7)}, 10, 15)
+    enumeration.write_checkpoint(path, 3, "full", 4, _level([bytes([4] * 7)]), 10, 15)
 
 
 def _forge_version_one(path):
@@ -473,7 +496,8 @@ def _forge_version_one(path):
 def _forge_larger_state_of_a_mirror_pair(path):
     _paused_checkpoint(path)
     depth, frontier, explored, max_seen = enumeration.read_checkpoint(path, 3, "full")
-    mirrored = {max(s, enumeration._mirror(s)) for s in frontier}
+    states = [x.to_bytes(7, "big") for group in frontier.values() for x in group]
+    mirrored = _level({max(s, enumeration._mirror(s)) for s in states})
     enumeration.write_checkpoint(path, 3, "full", depth, mirrored, explored, max_seen)
 
 
@@ -488,7 +512,8 @@ def _forge_stable_state_off_its_shadow(path):
     # where every stable 7-chip configuration has one: only its fire vector gives it away
     state = bytes([4, 4, 2, 1, 5, 3, 6])
     assert state < enumeration._mirror(state)
-    enumeration.write_checkpoint(path, 3, "full", unlabeled.total_fires(7), {state}, 84, 15)
+    depth = unlabeled.total_fires(7)
+    enumeration.write_checkpoint(path, 3, "full", depth, _level([state]), 84, 15)
 
 
 def _forge_depth_past_the_stabilization_depth(path):
@@ -498,28 +523,40 @@ def _forge_depth_past_the_stabilization_depth(path):
     enumeration.write_checkpoint(path, 3, "full", depth + 1, frontier, explored, max_seen)
 
 
+_FORGERIES = [
+    _forge_header_without_depth,
+    _forge_non_utf8,
+    _forge_empty_frontier,
+    _forge_all_chips_on_vertex_7,
+    _forge_depth_shifted_by_two,
+    _forge_unreachable_representative,
+    _forge_version_one,
+    _forge_larger_state_of_a_mirror_pair,
+    _forge_stable_state_off_its_shadow,
+    _forge_depth_past_the_stabilization_depth,
+]
+
+
 @pytest.mark.parametrize(
-    "forge",
-    [
-        _forge_header_without_depth,
-        _forge_non_utf8,
-        _forge_empty_frontier,
-        _forge_all_chips_on_vertex_7,
-        _forge_depth_shifted_by_two,
-        _forge_unreachable_representative,
-        _forge_version_one,
-        _forge_larger_state_of_a_mirror_pair,
-        _forge_stable_state_off_its_shadow,
-        _forge_depth_past_the_stabilization_depth,
+    "forge,pause",
+    [pytest.param(forge, [], id=forge.__name__) for forge in _FORGERIES]
+    + [
+        pytest.param(forge, ["--max-frontier", "1", "--checkpoint"], id=f"{forge.__name__}-paused")
+        for forge in _FORGERIES
     ],
 )
-def test_malformed_checkpoint_is_checkpoint_error(capsys, tmp_path, forge):
+def test_malformed_checkpoint_is_checkpoint_error(capsys, tmp_path, forge, pause):
+    # a resumed level is checked before it can pause: no checkpoint is written
     ckpt = str(tmp_path / "z3.ckpt")
     forge(ckpt)
-    assert main(["enumerate", "--ell", "3", "--resume", ckpt]) == 3
+    argv = ["enumerate", "--ell", "3", "--resume", ckpt, *pause]
+    if pause:
+        argv.append(str(tmp_path / "fresh.ckpt"))
+    assert main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    assert os.listdir(tmp_path) == ["z3.ckpt"]
 
 
 @pytest.mark.parametrize("mode", enumeration.MODES)

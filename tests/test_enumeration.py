@@ -377,7 +377,7 @@ class TestShadowGroups:
         with pytest.raises(enumeration.EnumerationPaused) as info:
             enumeration.enumerate_stable(4, workers=workers, max_frontier=max_frontier)
         assert info.value.depth == pause_depth
-        assert checked == list(range(pause_depth))
+        assert checked == list(range(pause_depth + 1))
 
 
 class TestOrbitCount:
@@ -389,15 +389,14 @@ class TestOrbitCount:
         shadow = enumeration._shadow(fired)
         assert enumeration._mirror_shadow(shadow) == shadow == enumeration._shadow(palindrome)
         group = ints([fired, palindrome])
-        assert enumeration._orbit_count(group, "full", 7, shadow) == 3
-        assert enumeration._orbit_count(group, "full", 7) == 3
-        assert enumeration._orbit_count(group, "scheduled", 7, shadow) == 2
+        assert enumeration._orbit_count(shadow, group, "full") == 3
+        assert enumeration._orbit_count(shadow, group, "scheduled") == 2
 
         left = bytes([2, 1, 2, 2, 1, 1, 1])  # three chips on vertex 2, none on vertex 3
         lopsided = enumeration._shadow(left)
         assert enumeration._mirror_shadow(lopsided) != lopsided
         monkeypatch.setattr(enumeration, "_mirrors", None)  # never called for this group
-        assert enumeration._orbit_count(ints([left]), "full", 7, lopsided) == 2
+        assert enumeration._orbit_count(lopsided, ints([left]), "full") == 2
 
 
 class TestWorkers:
@@ -653,7 +652,8 @@ class TestCheckpointing:
             lines = [mirrored.hex(), fired.hex()]
             enumeration._write_records(ckpt, enumeration.CHECKPOINT_FORMAT, fields, lines)
             if mode == "scheduled":
-                assert enumeration.read_checkpoint(ckpt, 3, mode)[1] == [mirrored, fired]
+                level = {enumeration._shadow(fired): ints([mirrored, fired])}
+                assert enumeration.read_checkpoint(ckpt, 3, mode)[1] == level
             else:
                 with pytest.raises(enumeration.CorpusError, match="line 3: .*mirror"):
                     enumeration.read_checkpoint(ckpt, 3, mode)
