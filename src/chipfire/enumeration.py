@@ -59,7 +59,12 @@ level that the search keeps, and written from it.
 Corpora and checkpoints share one record format: a JSON header line
 carrying the sha256 of the body, then one sorted record per line.  A
 checkpoint body holds one representative per line in full mode, so
-checkpoints have a version of their own.
+checkpoints have a version of their own.  Both kinds are written and read
+a block at a time, never whole.  A write holds its sorted records and one
+chunk of lines; a read hashes and counts each block's lines as it parses
+them, raises a wrong count, checksum or record only after the body has
+ended, and holds little beyond what it returns: a checkpoint's ints join
+their shadow's group as their block is read.
 """
 
 from __future__ import annotations
@@ -104,8 +109,9 @@ VERSIONS = {CORPUS_FORMAT: 1, CHECKPOINT_FORMAT: 2}
 
 MODES = ("full", "scheduled")
 
-# body lines encoded and written at a time
-_CHUNK_LINES = 1 << 16
+# body lines encoded and written at a time, and body bytes read at a time
+_CHUNK_LINES = 1 << 12
+_BLOCK_BYTES = 1 << 16
 # successors per pickled chunk of a worker's result
 _CHUNK_STATES = 1 << 12
 
@@ -381,13 +387,14 @@ def enumerate_stable(
     given) if `max_seconds` or `max_frontier` (in unreduced states) is
     exceeded; pass the checkpoint to `resume_path` to continue.  With
     `workers` > 1, every level is expanded in a pool of at most one
-    process per CPU.  Every path stabilizes after exactly F(2^ell - 1)
-    fires, so the level at that depth is the stable set.  Each level is
-    kept keyed by shadow, and the fire vector of every shadow on every
-    level, the last one and a resumed one included, is checked before the
-    level can be written to a checkpoint.  A resumed frontier that breaks
-    an invariant of the search raises CorpusError.  A NaN `max_seconds`
-    or `checkpoint_every` raises ValueError; infinity means no limit.
+    process per CPU that this process may run on.  Every path stabilizes
+    after exactly F(2^ell - 1) fires, so the level at that depth is the
+    stable set.  Each level is kept keyed by shadow, and the fire vector
+    of every shadow on every level, the last one and a resumed one
+    included, is checked before the level can be written to a checkpoint.
+    A resumed frontier that breaks an invariant of the search raises
+    CorpusError.  A NaN `max_seconds` or `checkpoint_every` raises
+    ValueError; infinity means no limit.
     """
     if ell < 1:
         raise ValueError("ell must be >= 1")
@@ -400,8 +407,10 @@ def enumerate_stable(
     # every comparison with NaN is false: the search would never pause or checkpoint
     if math.isnan(checkpoint_every) or max_seconds is not None and math.isnan(max_seconds):
         raise ValueError("checkpoint_every and max_seconds must not be NaN")
-    # more processes than CPUs only add memory and pickling; results never depend on it
-    workers = min(workers, os.cpu_count() or 1)
+    # more processes than the CPUs this process may run on only add memory and
+    # pickling; results never depend on it
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, cpus or 1)
 
     n_chips = 2**ell - 1
     target_depth = unlabeled.total_fires(n_chips)
@@ -561,22 +570,84 @@ def _write_records(path: str, fmt: str, fields: dict, lines: Iterable[str]) -> N
             os.remove(tmp)
 
 
-def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **expected):
-    """Read a file written by _write_records: its header and its body lines, parsed.
+def _lines(blocks: Iterable[bytes], digest) -> Iterator[list[bytes]]:
+    """The lines of a body read in `blocks`, a list per block, as bytes.splitlines
+    splits the whole body; each block updates `digest` as it arrives."""
+    pieces: list[bytes] = []  # the body after its last line break so far, joined once
+    for block in blocks:
+        digest.update(block)
+        # a line ends at a \n, or at a \r that no \n can follow
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
+        if cut:
+            pieces.append(block[:cut])
+            yield b"".join(pieces).splitlines()
+            pieces.clear()
+        pieces.append(block[cut:])
+    yield b"".join(pieces).splitlines()  # a last line without its newline
 
-    Checks format, version, the `expected` header values, the integer
-    fields and the counters the header has, the line count and the
-    checksum.  Every failure, an unreadable file included, raises
-    CorpusError naming the line where there is one.
+
+# a line that parse() refuses
+_BAD_RECORD = (ValueError, KeyError, TypeError, RecursionError)
+
+
+def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **expected):
+    """Read a file written by _write_records: yield its header, then its body's
+    records, a list per block read.
+
+    The header is checked before it is yielded: format, version, the
+    `expected` header values, the integer fields and the counters the
+    header has.  The body is read _BLOCK_BYTES at a time and never held
+    whole.  Each block is hashed and its lines counted, and `parse` turns
+    its lines into their records, judging each line on its own, until a
+    line fails.  After the body the line count, then the checksum, then
+    the first bad record raise, so a caller drains the records before it
+    trusts them, and what was parsed is what was hashed.  Every failure, an
+    unreadable file included, raises CorpusError naming the line where
+    there is one.
     """
     try:
         with open(path, "rb") as handle:
-            head, body = handle.readline(), handle.read()
+            header = _read_header(path, handle.readline(), fmt, count_key, int_keys, expected)
+            yield header
+            digest, count, bad = hashlib.sha256(), 0, None
+            for lines in _lines(iter(functools.partial(handle.read, _BLOCK_BYTES), b""), digest):
+                if bad is None:
+                    try:
+                        records = parse(lines)
+                    except _BAD_RECORD as exc:
+                        bad = _first_refusal(parse, lines, count + 2) or (count + 2, exc)
+                    else:
+                        yield records
+                count += len(lines)
     except OSError as exc:
         raise CorpusError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    if count != header[count_key]:
+        raise CorpusError(
+            f"{path}: header {count_key} {header[count_key]} != body line count {count}"
+        )
+    if digest.hexdigest() != header.get("sha256"):
+        raise CorpusError(f"{path}: checksum mismatch")
+    if bad is not None:
+        line, exc = bad
+        raise CorpusError(f"{path}: line {line}: bad record: {exc}") from exc
+
+
+def _first_refusal(parse, lines: list[bytes], first: int) -> tuple[int, Exception] | None:
+    """The number of the first of `lines` that `parse` refuses on its own, and
+    why; `first` is the number of lines[0]."""
+    for number, line in enumerate(lines, start=first):
+        try:
+            parse([line])
+        except _BAD_RECORD as exc:
+            return number, exc
+    return None
+
+
+def _read_header(path: str, head: bytes, fmt: str, count_key: str, int_keys, expected) -> dict:
+    """The header line of a file written by _write_records, checked."""
     try:
         header = json.loads(head)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CorpusError(f"{path}: line 1: header is not valid JSON: {exc}") from exc
     if not isinstance(header, dict) or header.get("format") != fmt:
         raise CorpusError(f"{path}: line 1: not a {fmt} file")
@@ -593,21 +664,7 @@ def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **
     for key in (count_key, *int_keys, *counters):
         if type(header.get(key)) is not int:
             raise CorpusError(f"{path}: line 1: header needs an integer {key!r}")
-    lines = body.splitlines()
-    if len(lines) != header[count_key]:
-        raise CorpusError(
-            f"{path}: header {count_key} {header[count_key]} != body line count {len(lines)}"
-        )
-    if hashlib.sha256(body).hexdigest() != header.get("sha256"):
-        raise CorpusError(f"{path}: checksum mismatch")
-    del body  # its lines hold the same bytes
-    records = []
-    for i, line in enumerate(lines, start=2):
-        try:
-            records.append(parse(line))
-        except (ValueError, KeyError, TypeError) as exc:
-            raise CorpusError(f"{path}: line {i}: bad record: {exc}") from exc
-    return header, records
+    return header
 
 
 def save(stable_set: StableSet, path: str) -> None:
@@ -626,7 +683,12 @@ def save(stable_set: StableSet, path: str) -> None:
 
 def load(path: str) -> StableSet:
     """Read a corpus written by save(), validating structure, count, and checksum."""
-    header, configs = _read_records(path, CORPUS_FORMAT, LabeledConfig.from_json, "count", "ell")
+
+    def parse(lines: list[bytes]) -> list[LabeledConfig]:
+        return list(map(LabeledConfig.from_json, lines))
+
+    records = _read_records(path, CORPUS_FORMAT, parse, "count", "ell")
+    header, configs = next(records), list(itertools.chain.from_iterable(records))
     ell = header["ell"]
     for line, config in enumerate(configs, start=2):
         # bit_length first, so that 2**ell is only computed for a small ell
@@ -682,30 +744,43 @@ def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, dict, int, int
     """
     n_chips = 2**ell - 1
     vertices = bytes(range(1, n_chips + 1))
+    # a state's shadow read as a little-endian int is the sum of 256^v over its chips' vertices v
+    weights = [1 << 8 * v for v in range(n_chips + 1)]
 
-    def parse(line: bytes) -> bytes:
-        state = binascii.unhexlify(line)
-        if len(state) != n_chips or state.translate(None, vertices):
+    def parse(lines: list[bytes]) -> list[bytes]:
+        states = list(map(binascii.unhexlify, lines))
+        deleted = map(bytes.translate, states, itertools.repeat(None), itertools.repeat(vertices))
+        if any(map(n_chips.__ne__, map(len, states))) or any(deleted):
             raise ValueError(f"not a state of {n_chips} chips on vertices 1..{n_chips}")
-        if mode == "full" and _mirror(state) < state:
+        ints = map(int.from_bytes, states, itertools.repeat("big"))
+        if mode == "full" and any(map(int.__gt__, ints, _mirrors(states))):
             raise ValueError("not the smaller state of its mirror pair")
-        return state
+        return states
 
-    header, states = _read_records(
+    records = _read_records(
         path, CHECKPOINT_FORMAT, parse, "frontier_count", "depth", ell=ell, mode=mode
     )
-    if not states:
+    header = next(records)
+    # each state's int joins its shadow's group as its block is read; the first line
+    # out of order is raised after the file's own checks
+    groups: dict[int, list[int]] = {}
+    before, line, unordered = b"", 2, None
+    for states in records:
+        ordered = list(map(bytes.__lt__, [before, *states], states))
+        if unordered is None and not all(ordered):
+            unordered = line + ordered.index(False)
+        keys = map(sum, map(map, itertools.repeat(weights.__getitem__), states))
+        for key, state in zip(keys, map(int.from_bytes, states, itertools.repeat("big"))):
+            groups.setdefault(key, []).append(state)
+        if states:
+            before = states[-1]
+        line += len(states)
+    if not groups:
         raise CorpusError(f"{path}: checkpoint frontier is empty")
     target = unlabeled.total_fires(n_chips)
     if not 0 <= header["depth"] <= target:
         raise CorpusError(f"{path}: line 1: depth {header['depth']} is outside 0..{target}")
-    # states with the same chips in ascending order share a shadow
-    groups: dict[tuple[int, ...], list[int]] = {}
-    before = b""
-    for line, state in enumerate(states, start=2):
-        if state <= before:
-            raise CorpusError(f"{path}: line {line}: state is not above the one before it")
-        groups.setdefault(tuple(sorted(state)), []).append(int.from_bytes(state, "big"))
-        before = state
-    level = {_shadow(bytes(chips)): group for chips, group in groups.items()}
+    if unordered is not None:
+        raise CorpusError(f"{path}: line {unordered}: state is not above the one before it")
+    level = {key.to_bytes(n_chips + 1, "little"): group for key, group in groups.items()}
     return header["depth"], level, header.get("explored_states", 0), header.get("max_frontier", 0)

@@ -559,6 +559,22 @@ def test_malformed_checkpoint_is_checkpoint_error(capsys, tmp_path, forge, pause
     assert os.listdir(tmp_path) == ["z3.ckpt"]
 
 
+@pytest.mark.parametrize("block", [1, 3, 8])
+@pytest.mark.parametrize("forge", _FORGERIES, ids=lambda forge: forge.__name__)
+def test_a_forged_checkpoint_read_a_few_bytes_at_a_time_is_refused_alike(
+    capsys, tmp_path, monkeypatch, forge, block
+):
+    # every line straddles blocks: the exit code and the message are the ones a
+    # file read in one block gets
+    ckpt = str(tmp_path / "z3.ckpt")
+    forge(ckpt)
+    argv = ["enumerate", "--ell", "3", "--resume", ckpt]
+    whole = main(argv), capsys.readouterr()
+    assert whole[0] == 3
+    monkeypatch.setattr(enumeration, "_BLOCK_BYTES", block)
+    assert (main(argv), capsys.readouterr()) == whole
+
+
 @pytest.mark.parametrize("mode", enumeration.MODES)
 @pytest.mark.parametrize("forgery", ["repeated", "swapped"])
 def test_a_checkpoint_body_out_of_order_is_checkpoint_error(capsys, tmp_path, mode, forgery):
@@ -577,6 +593,25 @@ def test_a_checkpoint_body_out_of_order_is_checkpoint_error(capsys, tmp_path, mo
     enumeration._write_records(ckpt, enumeration.CHECKPOINT_FORMAT, fields, lines)
     code = main(["enumerate", "--ell", "3", "--mode", mode, "--resume", ckpt])
     assert code == 3
+    message = f"error: {ckpt}: line 4: state is not above the one before it\n"
+    assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+@pytest.mark.parametrize("mode", enumeration.MODES)
+def test_a_body_out_of_order_read_a_few_bytes_at_a_time_keeps_its_line_number(
+    capsys, tmp_path, monkeypatch, mode, block
+):
+    ckpt = str(tmp_path / "z3.ckpt")
+    with pytest.raises(enumeration.EnumerationPaused):
+        enumeration.enumerate_stable(3, mode=mode, max_frontier=5, checkpoint_path=ckpt)
+    head, body = open(ckpt, "rb").read().split(b"\n", 1)
+    lines = body.decode().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    fields = {k: v for k, v in json.loads(head).items() if k not in ("format", "version", "sha256")}
+    enumeration._write_records(ckpt, enumeration.CHECKPOINT_FORMAT, fields, lines)
+    monkeypatch.setattr(enumeration, "_BLOCK_BYTES", block)
+    assert main(["enumerate", "--ell", "3", "--mode", mode, "--resume", ckpt]) == 3
     message = f"error: {ckpt}: line 4: state is not above the one before it\n"
     assert capsys.readouterr() == ("", message)
 

@@ -142,6 +142,24 @@ def test_pinned_exit_codes(files, code, argv):
         assert ("paused: " if code == 4 else "error: ") in err.splitlines()[-1]
 
 
+# every invocation above that reads a corpus or a checkpoint, the forged ones included
+READS = [(code, argv) for code, argv in PINNED if "--input" in argv or "--resume" in argv]
+READS += [(3, f"enumerate --ell 3 --resume {name}") for name in FORGED]
+READS += [(2, "check --input junk"), (0, "check --input Z3"), (0, "enumerate --ell 3 --resume P")]
+
+
+@pytest.mark.parametrize("code,argv", READS, ids=[argv for _, argv in READS])
+def test_files_read_a_few_bytes_at_a_time_keep_their_exit_codes_and_messages(
+    files, monkeypatch, code, argv
+):
+    argv = [files.get(token, token) for token in argv.split()]
+    whole = run(argv)
+    assert whole[0] == code
+    for block in (1, 3):
+        monkeypatch.setattr(enumeration, "_BLOCK_BYTES", block)
+        assert run(argv) == whole
+
+
 @pytest.mark.parametrize(
     "argv,call",
     [

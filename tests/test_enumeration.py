@@ -1,9 +1,13 @@
+import gc
 import hashlib
 import itertools
 import json
 import os
+import tracemalloc
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chipfire import checks, enumeration, labeled, unlabeled
 from conftest import single_chip_config
@@ -418,7 +422,9 @@ class TestWorkers:
             written.append(ckpt.read_bytes())
         assert written[0] == written[1]
 
-    def test_pool_is_capped_at_the_cpu_count(self, stable3, monkeypatch):
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The max_workers of each pool the search starts, run in this process."""
         started = []
 
         class FakePool:
@@ -432,9 +438,26 @@ class TestWorkers:
                 pass
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
+        return started
+
+    def test_pool_is_capped_at_the_cpu_count(self, stable3, monkeypatch, pools):
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
+        # a platform without affinity masks falls back on the CPU count
+        monkeypatch.delattr(enumeration.os, "sched_getaffinity", raising=False)
         result = enumeration.enumerate_stable(3, workers=10**6)
-        assert started == [3]
+        assert pools == [3]
+        assert result.canonical_keys() == stable3.canonical_keys()
+
+    @pytest.mark.parametrize("cpus,started", [({0, 5, 6}, [3]), ({4}, [])])
+    def test_pool_is_capped_at_the_cpus_this_process_may_run_on(
+        self, stable3, monkeypatch, pools, cpus, started
+    ):
+        # a process pinned to fewer CPUs than the machine has starts no idle workers,
+        # and one pinned to one CPU starts no pool at all
+        monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        result = enumeration.enumerate_stable(3, workers=8)
+        assert pools == started
         assert result.canonical_keys() == stable3.canonical_keys()
 
 
@@ -697,6 +720,202 @@ class TestCheckpointing:
             resumed = enumeration.enumerate_stable(3, mode=mode, resume_path=str(ckpt))
             enumeration.save(resumed, str(corpus))
             assert corpus.read_bytes() == expected.read_bytes()
+
+
+def _paused_checkpoint(path):
+    """An ell = 3 checkpoint paused at depth 1: 9 lines in full mode."""
+    with pytest.raises(enumeration.EnumerationPaused):
+        enumeration.enumerate_stable(3, max_frontier=5, checkpoint_path=str(path))
+    head, body = path.read_bytes().split(b"\n", 1)
+    return json.loads(head), body
+
+
+def _with_body(path, header, body):
+    """Write `header` with the count and checksum of `body`, then `body`."""
+    header = {**header, "frontier_count": len(body.splitlines())}
+    header["sha256"] = hashlib.sha256(body).hexdigest()
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+
+
+class TestStreamedRead:
+    """A body read a few bytes at a time reads as the whole body does."""
+
+    @given(
+        st.lists(st.sampled_from([b"0", b"1", b"\r", b"\n"]), max_size=40).map(b"".join),
+        st.integers(1, 9),
+    )
+    def test_lines_split_as_the_whole_body_splits(self, body, block):
+        digest = hashlib.sha256()
+        blocks = (body[i : i + block] for i in range(0, len(body), block))
+        lines = list(itertools.chain.from_iterable(enumeration._lines(blocks, digest)))
+        assert lines == body.splitlines()
+        assert digest.digest() == hashlib.sha256(body).digest()
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 31, 1 << 16])
+    @pytest.mark.parametrize(
+        "ending", ["newline", "no final newline", "crlf", "cr"], ids=lambda e: e.replace(" ", "-")
+    )
+    def test_line_endings_read_as_splitlines_reads_them(self, tmp_path, monkeypatch, block, ending):
+        # the count and the checksum are the forged body's own, so only the splitting differs
+        ckpt = tmp_path / "z3.ckpt"
+        header, body = _paused_checkpoint(ckpt)
+        expected = enumeration.read_checkpoint(str(ckpt), 3, "full")
+        forged = {
+            "newline": body,
+            "no final newline": body[:-1],
+            "crlf": body.replace(b"\n", b"\r\n"),
+            "cr": body.replace(b"\n", b"\r"),
+        }[ending]
+        _with_body(ckpt, header, forged)
+        monkeypatch.setattr(enumeration, "_BLOCK_BYTES", block)
+        assert enumeration.read_checkpoint(str(ckpt), 3, "full") == expected
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_a_corpus_loads_the_same_in_any_block_size(self, stable3, tmp_path, monkeypatch, block):
+        path = str(tmp_path / "z3.jsonl")
+        enumeration.save(stable3, path)
+        monkeypatch.setattr(enumeration, "_BLOCK_BYTES", block)
+        loaded = enumeration.load(path)
+        assert loaded.canonical_keys() == stable3.canonical_keys()
+        assert loaded.meta == stable3.meta
+
+    # each defect, and the message it is reported with, in the order they are checked
+    DEFECTS = {
+        "count": "header frontier_count 10 != body line count 9",
+        "checksum": "checksum mismatch",
+        "record": "line 5: bad record: Non-hexadecimal digit found",
+        "depth": "line 1: depth 99 is outside 0..6",
+        "order": "line 3: state is not above the one before it",
+    }
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 16])
+    @pytest.mark.parametrize(
+        "defects",
+        [(d,) for d in DEFECTS] + list(itertools.combinations(DEFECTS, 2)),
+        ids="+".join,
+    )
+    def test_the_first_defect_in_check_order_is_reported(
+        self, tmp_path, monkeypatch, defects, block
+    ):
+        ckpt = tmp_path / "z3.ckpt"
+        header, body = _paused_checkpoint(ckpt)
+        lines = body.splitlines()
+        assert len(lines) == 9
+        if "record" in defects:
+            lines[3] = b"zz" * 7
+        if "order" in defects:
+            lines[0], lines[1] = lines[1], lines[0]
+        if "depth" in defects:
+            header = {**header, "depth": 99}
+        _with_body(ckpt, header, b"".join(line + b"\n" for line in lines))
+        if "count" in defects or "checksum" in defects:
+            head, body = ckpt.read_bytes().split(b"\n", 1)
+            forged = json.loads(head)
+            forged["frontier_count"] += "count" in defects
+            forged["sha256"] = "0" * 64 if "checksum" in defects else forged["sha256"]
+            ckpt.write_bytes(json.dumps(forged).encode() + b"\n" + body)
+        monkeypatch.setattr(enumeration, "_BLOCK_BYTES", block)
+        with pytest.raises(enumeration.CorpusError) as info:
+            enumeration.read_checkpoint(str(ckpt), 3, "full")
+        assert str(info.value) == f"{ckpt}: {self.DEFECTS[defects[0]]}"
+
+    @pytest.mark.parametrize("block", [1, 1 << 16])
+    def test_an_empty_body_is_reported_before_a_bad_depth(
+        self, tmp_path, monkeypatch, block
+    ):
+        ckpt = tmp_path / "z3.ckpt"
+        header, _ = _paused_checkpoint(ckpt)
+        _with_body(ckpt, {**header, "depth": 99}, b"")
+        monkeypatch.setattr(enumeration, "_BLOCK_BYTES", block)
+        with pytest.raises(enumeration.CorpusError, match="checkpoint frontier is empty"):
+            enumeration.read_checkpoint(str(ckpt), 3, "full")
+
+    def test_a_file_changed_while_it_is_read_is_refused(self, tmp_path, monkeypatch):
+        # the lines already handed out and the rest of the file as it is now form a valid
+        # body, but not the one the header's checksum is for: what is parsed is what is hashed
+        ckpt = tmp_path / "s4.ckpt"
+        with pytest.raises(enumeration.EnumerationPaused):
+            enumeration.enumerate_stable(
+                4, mode="scheduled", max_frontier=50_000, checkpoint_path=str(ckpt)
+            )
+        data, largest = ckpt.read_bytes(), b"0f" * 15 + b"\n"
+        assert len(data) > 1 << 20 and not data.endswith(largest)
+        lines = enumeration._lines
+
+        def rewritten_after_the_first_block(blocks, digest):
+            for i, block_lines in enumerate(lines(blocks, digest)):
+                if i == 0:  # the last state becomes the largest one
+                    with open(ckpt, "r+b") as handle:
+                        handle.seek(len(data) - len(largest))
+                        handle.write(largest)
+                yield block_lines
+
+        monkeypatch.setattr(enumeration, "_lines", rewritten_after_the_first_block)
+        with pytest.raises(enumeration.CorpusError, match="checksum mismatch"):
+            enumeration.read_checkpoint(str(ckpt), 4, "scheduled")
+        assert ckpt.read_bytes() == data[: -len(largest)] + largest
+
+    @pytest.mark.parametrize("where", ["header", "body"])
+    def test_json_nested_too_deep_for_the_parser_is_a_corpus_error(self, stable3, tmp_path, where):
+        path = tmp_path / "z3.jsonl"
+        enumeration.save(stable3, str(path))
+        head, body = path.read_bytes().split(b"\n", 1)
+        deep = b"[" * 100_000 + b"]" * 100_000
+        if where == "header":
+            head = deep
+        else:
+            body = deep + b"\n" + body.split(b"\n", 1)[1]
+            header = {**json.loads(head), "sha256": hashlib.sha256(body).hexdigest()}
+            head = json.dumps(header).encode()
+        path.write_bytes(head + b"\n" + body)
+        line = "line 1: header is not valid JSON" if where == "header" else "line 2: bad record"
+        with pytest.raises(enumeration.CorpusError, match=line):
+            enumeration.load(str(path))
+
+
+class TestMemory:
+    """tracemalloc pins on reading and writing a checkpoint: the read holds the level
+    it returns and one block, the write the sorted states and one chunk of lines."""
+
+    @pytest.fixture(scope="class")
+    def depth5(self, tmp_path_factory):
+        path = str(tmp_path_factory.mktemp("memory") / "d5.ckpt")
+        with pytest.raises(enumeration.EnumerationPaused) as info:
+            enumeration.enumerate_stable(4, max_frontier=150_000, checkpoint_path=path)
+        assert info.value.depth == 5
+        return path
+
+    @staticmethod
+    def traced(func, *args):
+        """func(*args), the bytes still allocated after it and the peak above that."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            result = func(*args)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, current - base, peak - current
+
+    def test_a_read_holds_little_beyond_the_level_it_returns(self, depth5):
+        # 110,119 lines in a 3.4 MB file; the level holds 5.1 MB.  Measured over it on
+        # Python 3.10-3.13: 0.50 MB; reading the whole body at once took 8.3 MB
+        (depth, level, _, _), kept, over = self.traced(
+            enumeration.read_checkpoint, depth5, 4, "full"
+        )
+        assert (depth, sum(map(len, level.values()))) == (5, 110_119)
+        assert kept > 4 * 2**20
+        assert over < 1 * 2**20
+
+    def test_a_write_holds_little_beyond_the_level_it_is_given(self, depth5, tmp_path):
+        # measured on Python 3.10-3.13: 1.60-1.67 MB, the sorted list of 110,119 ints
+        # and one 4,096-line chunk; 65,536-line chunks took 12.0 MB
+        checkpoint = enumeration.read_checkpoint(depth5, 4, "full")
+        path = tmp_path / "d5.ckpt"
+        _, kept, over = self.traced(enumeration.write_checkpoint, str(path), 4, "full", *checkpoint)
+        assert path.read_bytes() == open(depth5, "rb").read()
+        assert kept + over < 2.5 * 2**20
 
 
 FOUR_LAYER_BODY_SHA256 = "020980e1fc2e2a69660a363d6abfd83e385ef60381e752e9425aa15d1a3cdf8d"
