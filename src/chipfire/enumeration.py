@@ -59,12 +59,13 @@ level that the search keeps, and written from it.
 Corpora and checkpoints share one record format: a JSON header line
 carrying the sha256 of the body, then one sorted record per line.  A
 checkpoint body holds one representative per line in full mode, so
-checkpoints have a version of their own.  Both kinds are written and read
-a block at a time, never whole.  A write holds its sorted records and one
-chunk of lines; a read hashes and counts each block's lines as it parses
+checkpoints have a version of their own.  Both kinds are written a chunk
+of lines at a time and read in batches of whole lines, about a block at a
+time; no file is held whole.  A write holds its sorted records and one
+chunk of lines; a read hashes and counts each batch of lines as it parses
 them, raises a wrong count, checksum or record only after the body has
 ended, and holds little beyond what it returns: a checkpoint's ints join
-their shadow's group as their block is read.
+their shadow's group as their batch is read.
 """
 
 from __future__ import annotations
@@ -109,7 +110,7 @@ VERSIONS = {CORPUS_FORMAT: 1, CHECKPOINT_FORMAT: 2}
 
 MODES = ("full", "scheduled")
 
-# body lines encoded and written at a time, and body bytes read at a time
+# body lines encoded and written at a time; body bytes read at a time, in whole lines
 _CHUNK_LINES = 1 << 12
 _BLOCK_BYTES = 1 << 16
 # successors per pickled chunk of a worker's result
@@ -570,47 +571,36 @@ def _write_records(path: str, fmt: str, fields: dict, lines: Iterable[str]) -> N
             os.remove(tmp)
 
 
-def _lines(blocks: Iterable[bytes], digest) -> Iterator[list[bytes]]:
-    """The lines of a body read in `blocks`, a list per block, as bytes.splitlines
-    splits the whole body; each block updates `digest` as it arrives."""
-    pieces: list[bytes] = []  # the body after its last line break so far, joined once
-    for block in blocks:
-        digest.update(block)
-        # a line ends at a \n, or at a \r that no \n can follow
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, len(block) - 1)) + 1
-        if cut:
-            pieces.append(block[:cut])
-            yield b"".join(pieces).splitlines()
-            pieces.clear()
-        pieces.append(block[cut:])
-    yield b"".join(pieces).splitlines()  # a last line without its newline
-
-
 # a line that parse() refuses
 _BAD_RECORD = (ValueError, KeyError, TypeError, RecursionError)
 
 
 def _read_records(path: str, fmt: str, parse, count_key: str, *int_keys: str, **expected):
     """Read a file written by _write_records: yield its header, then its body's
-    records, a list per block read.
+    records, a list per batch of lines read.
 
     The header is checked before it is yielded: format, version, the
     `expected` header values, the integer fields and the counters the
-    header has.  The body is read _BLOCK_BYTES at a time and never held
-    whole.  Each block is hashed and its lines counted, and `parse` turns
-    its lines into their records, judging each line on its own, until a
-    line fails.  After the body the line count, then the checksum, then
-    the first bad record raise, so a caller drains the records before it
-    trusts them, and what was parsed is what was hashed.  Every failure, an
-    unreadable file included, raises CorpusError naming the line where
-    there is one.
+    header has.  The body is read as whole lines, about _BLOCK_BYTES of
+    them at a time, and never held whole; a body whose lines all end in a
+    lone carriage return holds no newline, so it is read as one batch.
+    Each batch is hashed and its lines counted, and `parse` turns its lines
+    into their records, judging each line on its own, until a line fails.
+    After the body the line count, then the checksum, then the first bad
+    record raise, so a caller drains the records before it trusts them, and
+    what was parsed is what was hashed.  Every failure, an unreadable file
+    included, raises CorpusError naming the line where there is one.
     """
     try:
         with open(path, "rb") as handle:
             header = _read_header(path, handle.readline(), fmt, count_key, int_keys, expected)
             yield header
             digest, count, bad = hashlib.sha256(), 0, None
-            for lines in _lines(iter(functools.partial(handle.read, _BLOCK_BYTES), b""), digest):
+            # every batch of lines but the file's last ends in \n, so it splits as the
+            # whole body would, \r\n and a lone \r included
+            while block := b"".join(handle.readlines(_BLOCK_BYTES)):
+                digest.update(block)
+                lines = block.splitlines()
                 if bad is None:
                     try:
                         records = parse(lines)
@@ -746,12 +736,15 @@ def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, dict, int, int
     vertices = bytes(range(1, n_chips + 1))
     # a state's shadow read as a little-endian int is the sum of 256^v over its chips' vertices v
     weights = [1 << 8 * v for v in range(n_chips + 1)]
+    not_a_state = f"not a state of {n_chips} chips on vertices 1..{n_chips}"
 
     def parse(lines: list[bytes]) -> list[bytes]:
+        # the length first, so that a line far longer than a state is never decoded
+        if any(map((2 * n_chips).__ne__, map(len, lines))):
+            raise ValueError(not_a_state)
         states = list(map(binascii.unhexlify, lines))
-        deleted = map(bytes.translate, states, itertools.repeat(None), itertools.repeat(vertices))
-        if any(map(n_chips.__ne__, map(len, states))) or any(deleted):
-            raise ValueError(f"not a state of {n_chips} chips on vertices 1..{n_chips}")
+        if any(map(bytes.translate, states, itertools.repeat(None), itertools.repeat(vertices))):
+            raise ValueError(not_a_state)
         ints = map(int.from_bytes, states, itertools.repeat("big"))
         if mode == "full" and any(map(int.__gt__, ints, _mirrors(states))):
             raise ValueError("not the smaller state of its mirror pair")

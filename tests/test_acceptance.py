@@ -11,6 +11,7 @@ import json
 import os
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -176,7 +177,7 @@ def test_criterion_10_determinism(capsys, tmp_path):
         assert cli_main(["enumerate", "--ell", "3", "--out", a]) == 0
         assert cli_main(["enumerate", "--ell", "3", "--workers", "2", "--out", b]) == 0
         capsys.readouterr()
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 @pytest.mark.long

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,7 +259,7 @@ class TestEnumerateAndCorpus:
     def test_planted_violation_fails_with_witness(self, capsys, tmp_path):
         corpus = str(tmp_path / "z3.jsonl")
         run_cli(capsys, "enumerate", "--ell", "3", "--out", corpus)
-        lines = open(corpus).read().splitlines()
+        lines = Path(corpus).read_text().splitlines()
         mirrored = (
             '{"n_chips":7,"cells":[{"v":1,"chips":[4]},{"v":2,"chips":[6]},'
             '{"v":3,"chips":[2]},{"v":4,"chips":[7]},{"v":5,"chips":[5]},'
@@ -267,7 +268,7 @@ class TestEnumerateAndCorpus:
         body = "".join(line + "\n" for line in [mirrored, *lines[2:]])
         header = json.loads(lines[0])
         header["sha256"] = hashlib.sha256(body.encode()).hexdigest()
-        open(corpus, "w").write(json.dumps(header, separators=(",", ":")) + "\n" + body)
+        Path(corpus).write_text(json.dumps(header, separators=(",", ":")) + "\n" + body)
 
         code, out = run_cli(capsys, "check", "--input", corpus, "--property", "ballot")
         assert code == 1
@@ -282,7 +283,7 @@ class TestEnumerateAndCorpus:
     def test_config_outside_checker_domain_is_input_error(self, capsys, tmp_path):
         corpus = str(tmp_path / "odd.jsonl")
         run_cli(capsys, "enumerate", "--ell", "2", "--out", corpus)
-        lines = open(corpus).read().splitlines()
+        lines = Path(corpus).read_text().splitlines()
         # stable and label-complete, but two chips share a vertex
         crooked = (
             '{"n_chips":3,"cells":[{"v":1,"chips":[2]},{"v":2,"chips":[1,3]}]}'
@@ -290,7 +291,7 @@ class TestEnumerateAndCorpus:
         body = crooked + "\n"
         header = json.loads(lines[0])
         header["sha256"] = hashlib.sha256(body.encode()).hexdigest()
-        open(corpus, "w").write(json.dumps(header, separators=(",", ":")) + "\n" + body)
+        Path(corpus).write_text(json.dumps(header, separators=(",", ":")) + "\n" + body)
         code, _ = run_cli(capsys, "check", "--input", corpus, "--property", "extremes")
         assert code == 2
 
@@ -338,21 +339,21 @@ class TestEnumerateAndCorpus:
         code, out = run_cli(capsys, *argv)
         assert (code, json.loads(out)["max_frontier"]) == (0, 36)
         code, _ = run_cli(capsys, *argv, "--max-frontier", "30", "--checkpoint", ckpt)
-        head, body = open(ckpt, "rb").read().split(b"\n", 1)
+        head, body = Path(ckpt).read_bytes().split(b"\n", 1)
         header = json.loads(head)
         assert (code, header["depth"], header["frontier_count"]) == (4, 2, 20)
         del header["max_frontier"]
-        open(ckpt, "wb").write(json.dumps(header).encode() + b"\n" + body)
+        Path(ckpt).write_bytes(json.dumps(header).encode() + b"\n" + body)
         code, out = run_cli(capsys, *argv, "--resume", ckpt)
         assert (code, json.loads(out)["max_frontier"]) == (0, 36)
 
     def test_checkpoint_version_mismatch_exit_code(self, capsys, tmp_path):
         ckpt = str(tmp_path / "z3.ckpt")
         run_cli(capsys, "enumerate", "--ell", "3", "--max-frontier", "5", "--checkpoint", ckpt)
-        lines = open(ckpt).read().splitlines()
+        lines = Path(ckpt).read_text().splitlines()
         header = json.loads(lines[0])
         header["version"] = 99
-        open(ckpt, "w").write("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        Path(ckpt).write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
         code, _ = run_cli(capsys, "enumerate", "--ell", "3", "--resume", ckpt)
         assert code == 3
 
@@ -455,14 +456,14 @@ def _paused_checkpoint(path):
 
 def _forge_header_without_depth(path):
     _paused_checkpoint(path)
-    head, body = open(path, "rb").read().split(b"\n", 1)
+    head, body = Path(path).read_bytes().split(b"\n", 1)
     header = json.loads(head)
     del header["depth"]
-    open(path, "wb").write(json.dumps(header).encode() + b"\n" + body)
+    Path(path).write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
 def _forge_non_utf8(path):
-    open(path, "wb").write(b"\xff\xfe\x00not a checkpoint\n")
+    Path(path).write_bytes(b"\xff\xfe\x00not a checkpoint\n")
 
 
 def _level(states):
@@ -487,10 +488,10 @@ def _forge_unreachable_representative(path):
 
 def _forge_version_one(path):
     _paused_checkpoint(path)
-    head, body = open(path, "rb").read().split(b"\n", 1)
+    head, body = Path(path).read_bytes().split(b"\n", 1)
     header = json.loads(head)
     header["version"] = 1
-    open(path, "wb").write(json.dumps(header).encode() + b"\n" + body)
+    Path(path).write_bytes(json.dumps(header).encode() + b"\n" + body)
 
 
 def _forge_larger_state_of_a_mirror_pair(path):
@@ -582,7 +583,7 @@ def test_a_checkpoint_body_out_of_order_is_checkpoint_error(capsys, tmp_path, mo
     ckpt = str(tmp_path / "z3.ckpt")
     with pytest.raises(enumeration.EnumerationPaused):
         enumeration.enumerate_stable(3, mode=mode, max_frontier=5, checkpoint_path=ckpt)
-    head, body = open(ckpt, "rb").read().split(b"\n", 1)
+    head, body = Path(ckpt).read_bytes().split(b"\n", 1)
     lines = body.decode().splitlines()
     assert len(lines) >= 3 and lines == sorted(set(lines))
     if forgery == "repeated":
@@ -605,7 +606,7 @@ def test_a_body_out_of_order_read_a_few_bytes_at_a_time_keeps_its_line_number(
     ckpt = str(tmp_path / "z3.ckpt")
     with pytest.raises(enumeration.EnumerationPaused):
         enumeration.enumerate_stable(3, mode=mode, max_frontier=5, checkpoint_path=ckpt)
-    head, body = open(ckpt, "rb").read().split(b"\n", 1)
+    head, body = Path(ckpt).read_bytes().split(b"\n", 1)
     lines = body.decode().splitlines()
     lines[1], lines[2] = lines[2], lines[1]
     fields = {k: v for k, v in json.loads(head).items() if k not in ("format", "version", "sha256")}
@@ -622,11 +623,11 @@ def test_forged_depth_is_refused_with_asserts_stripped(tmp_path):
     ckpt = str(tmp_path / "z4.ckpt")
     with pytest.raises(enumeration.EnumerationPaused):
         enumeration.enumerate_stable(4, max_frontier=50_000, checkpoint_path=ckpt)
-    head, body = open(ckpt, "rb").read().split(b"\n", 1)
+    head, body = Path(ckpt).read_bytes().split(b"\n", 1)
     header = json.loads(head)
     assert header["depth"] == 4
     header["depth"] = unlabeled.total_fires(15)
-    open(ckpt, "wb").write(json.dumps(header).encode() + b"\n" + body)
+    Path(ckpt).write_bytes(json.dumps(header).encode() + b"\n" + body)
     argv = ["enumerate", "--ell", "4", "--resume", ckpt, "--max-seconds", "5"]
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "chipfire.cli", *argv],
@@ -645,33 +646,33 @@ def test_a_frontier_one_level_off_is_refused_before_it_is_expanded(capsys, tmp_p
     ckpt = str(tmp_path / "z4.ckpt")
     with pytest.raises(enumeration.EnumerationPaused):
         enumeration.enumerate_stable(4, max_frontier=50_000, checkpoint_path=ckpt)
-    head, body = open(ckpt, "rb").read().split(b"\n", 1)
+    head, body = Path(ckpt).read_bytes().split(b"\n", 1)
     header = json.loads(head)
     assert header["depth"] == 4
     header["depth"] = 5
-    open(ckpt, "wb").write(json.dumps(header).encode() + b"\n" + body)
+    Path(ckpt).write_bytes(json.dumps(header).encode() + b"\n" + body)
     argv = ["enumerate", "--ell", "4", "--resume", ckpt, "--checkpoint", ckpt]
     assert main([*argv, "--max-seconds", "5"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {ckpt}: resumed frontier is not reachable: shadow ")
     assert " at depth 5 has fire vector " in captured.err
-    assert json.loads(open(ckpt, "rb").readline())["depth"] == 5
+    assert json.loads(Path(ckpt).read_bytes().split(b"\n", 1)[0])["depth"] == 5
 
 
 def test_a_closed_stdout_exits_2_without_a_traceback():
     # about 1.6 MB of output, more than a pipe holds, so a write fails once the reader leaves
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "chipfire.cli", "sequence", "--name", "F", "--count", "200000"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(chipfire.__file__))},
-    )
-    assert proc.stdout.readline() == "0\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 2
+    ) as proc:
+        assert proc.stdout.readline() == "0\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
 
@@ -881,7 +882,7 @@ class TestByteReproducibility:
         a, b = str(tmp_path / "a.jsonl"), str(tmp_path / "b.jsonl")
         run_cli(capsys, "enumerate", "--ell", "3", "--out", a)
         run_cli(capsys, "enumerate", "--ell", "3", "--out", b, "--workers", "2")
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
 
 def test_corpus_round_trips_through_library(capsys, tmp_path):

@@ -11,6 +11,7 @@ import io
 import json
 import os
 import string
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -63,19 +64,19 @@ def files(tmp_path_factory):
     with open(paths["junk"], "w") as handle:
         handle.write("not a corpus\n")
     # the checksum covers the body only: the first copy keeps it, the second is given a new one
-    head, body = open(paths["Z3"], "rb").read().split(b"\n", 1)
+    head, body = Path(paths["Z3"]).read_bytes().split(b"\n", 1)
     header = {**json.loads(head), "ell": 2}
     paths["Z3-ell-2"] = str(tmp / "z3-ell-2.jsonl")
-    open(paths["Z3-ell-2"], "wb").write(json.dumps(header).encode() + b"\n" + body)
+    Path(paths["Z3-ell-2"]).write_bytes(json.dumps(header).encode() + b"\n" + body)
     body = body.replace(b'"n_chips":7', b'"n_chips":100000000000000000000', 1)
     header = {**json.loads(head), "sha256": hashlib.sha256(body).hexdigest()}
     paths["Z3-n_chips-1e20"] = str(tmp / "z3-n_chips-1e20.jsonl")
-    open(paths["Z3-n_chips-1e20"], "wb").write(json.dumps(header).encode() + b"\n" + body)
-    head, body = open(paths["P"], "rb").read().split(b"\n", 1)
+    Path(paths["Z3-n_chips-1e20"]).write_bytes(json.dumps(header).encode() + b"\n" + body)
+    head, body = Path(paths["P"]).read_bytes().split(b"\n", 1)
     for name, (key, value) in FORGED.items():
         paths[name] = str(tmp / f"{name}.ckpt")
         header = {**json.loads(head), key: value}
-        open(paths[name], "wb").write(json.dumps(header).encode() + b"\n" + body)
+        Path(paths[name]).write_bytes(json.dumps(header).encode() + b"\n" + body)
     return paths
 
 
