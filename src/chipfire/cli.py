@@ -241,6 +241,10 @@ def _bounds(args) -> int:
     return EXIT_OK
 
 
+def _progress(*level) -> None:  # depth, target depth, frontier, explored, seconds
+    print("depth %d/%d: frontier %d explored %d elapsed %.0fs" % level, file=sys.stderr, flush=True)
+
+
 def cmd_enumerate(args) -> int:
     if args.out and _cannot_write(args.out):
         return _fail(f"cannot write --out {args.out}")
@@ -256,7 +260,7 @@ def cmd_enumerate(args) -> int:
             resume_path=args.resume,
             max_seconds=args.max_seconds,
             max_frontier=args.max_frontier,
-            progress=args.progress,
+            on_level=_progress if args.progress else None,
         )
     except enumeration.CorpusError as exc:
         return _fail(str(exc), EXIT_CHECKPOINT)

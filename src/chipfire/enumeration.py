@@ -80,11 +80,10 @@ import math
 import operator
 import os
 import pickle
-import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Collection, Iterable, Iterator
+from typing import Callable, Collection, Iterable, Iterator
 
 from . import unlabeled
 from .checks import relative_order_key
@@ -371,6 +370,35 @@ def _stable_configs(shadow: bytes, states: Iterable[int]) -> Iterator[tuple[str,
 # search
 
 
+def _expand_level(frontier: dict, mode: str, depth: int, pool, workers: int) -> dict:
+    """The level after `frontier`, at `depth`: sorted lists from `pool`, sets if it is None."""
+    next_frontier: dict[bytes, Collection[int]] = {}
+    if pool is not None:
+        # every group is a sorted list here; neighbours in order share
+        # their low-label chips and many successors, so contiguous batches
+        # dedup those in the worker
+        chunk = max(1, sum(map(len, frontier.values())) // (workers * 8))
+        # a generator: map() submits every batch at once, and no list keeps
+        # a batch alive once its result is back
+        batches = (
+            (shadow, group[i : i + chunk], mode, depth)
+            for shadow, group in frontier.items()
+            for i in range(0, len(group), chunk)
+        )
+        for result in pool.map(_expand_pickled, batches):
+            for child, pickled in result.items():
+                merged = next_frontier.setdefault(child, set())
+                for states in pickled:
+                    merged.update(pickle.loads(states))
+        # a sorted list takes a fraction of a set's memory while the level waits
+        for child, group in next_frontier.items():
+            next_frontier[child] = sorted(group)
+    else:
+        for shadow, group in frontier.items():
+            _expand_batch((shadow, group, mode, depth), next_frontier)
+    return next_frontier
+
+
 def enumerate_stable(
     ell: int,
     mode: str = "full",
@@ -380,19 +408,21 @@ def enumerate_stable(
     resume_path: str | None = None,
     max_seconds: float | None = None,
     max_frontier: int | None = None,
-    progress: bool = False,
+    on_level: Callable[[int, int, int, int, float], object] | None = None,
 ) -> StableSet:
     """Enumerate every reachable stable configuration for 2^ell - 1 chips.
 
-    Raises EnumerationPaused (after writing a checkpoint when a path was
-    given) if `max_seconds` or `max_frontier` (in unreduced states) is
-    exceeded; pass the checkpoint to `resume_path` to continue.  With
-    `workers` > 1, every level is expanded in a pool of at most one
-    process per CPU that this process may run on.  Every path stabilizes
-    after exactly F(2^ell - 1) fires, so the level at that depth is the
-    stable set.  Each level is kept keyed by shadow, and the fire vector
-    of every shadow on every level, the last one and a resumed one
-    included, is checked before the level can be written to a checkpoint.
+    Raises EnumerationPaused (after writing a checkpoint of the current level
+    when a path was given) if `max_seconds` or `max_frontier` (in unreduced
+    states) is exceeded, memory runs out or a pool worker ends abruptly;
+    pass the checkpoint to `resume_path` to continue.  With `workers` > 1,
+    every level is expanded in a pool of at most one process per CPU that
+    this process may run on.  Every path stabilizes after exactly
+    F(2^ell - 1) fires, so the level at that depth is the stable set.  Each
+    level is kept keyed by shadow, and the fire vector of every shadow on
+    every level, the last one and a resumed one included, is checked before
+    the level can be written to a checkpoint.  Each level that does not pause
+    then calls `on_level(depth, F(2^ell - 1), size, explored, seconds)`.
     A resumed frontier that breaks an invariant of the search raises
     CorpusError.  A NaN `max_seconds` or `checkpoint_every` raises
     ValueError; infinity means no limit.
@@ -426,80 +456,50 @@ def enumerate_stable(
 
     started = time.monotonic()
     last_checkpoint = started
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def pause(reason: str) -> EnumerationPaused:
         if checkpoint_path is not None:
             write_checkpoint(checkpoint_path, ell, mode, depth, frontier, explored, max_seen)
         return EnumerationPaused(reason, checkpoint_path, depth, size)
 
-    try:
-        while True:
-            # every level, a resumed one included, is counted and checked before
-            # it can be written
-            size = sum(_orbit_count(shadow, group, mode) for shadow, group in frontier.items())
-            max_seen = max(max_seen, size)
-            _check_fire_vectors(frontier, depth, budgets)
-            if max_seconds is not None and time.monotonic() - started > max_seconds:
-                raise pause("time budget exhausted")
-            if max_frontier is not None and size > max_frontier:
-                raise pause("frontier size limit exceeded")
-            if (
-                checkpoint_path is not None
-                and time.monotonic() - last_checkpoint >= checkpoint_every
-            ):
-                write_checkpoint(checkpoint_path, ell, mode, depth, frontier, explored, max_seen)
-                last_checkpoint = time.monotonic()
-            if progress:
-                print(
-                    f"depth {depth}/{target_depth}: frontier {size} "
-                    f"explored {explored} elapsed {time.monotonic() - started:.0f}s",
-                    file=sys.stderr,
-                    flush=True,
-                )
-            if depth == target_depth:
-                break
-
-            next_frontier: dict[bytes, Collection[int]] = {}
-            if pool is not None:
-                # every group is a sorted list here; neighbours in order share
-                # their low-label chips and many successors, so contiguous batches
-                # dedup those in the worker
-                chunk = max(1, sum(map(len, frontier.values())) // (workers * 8))
-                # a generator: map() submits every batch at once, and no list keeps
-                # a batch alive once its result is back
-                batches = (
-                    (shadow, group[i : i + chunk], mode, depth)
-                    for shadow, group in frontier.items()
-                    for i in range(0, len(group), chunk)
-                )
-                for result in pool.map(_expand_pickled, batches):
-                    for child, pickled in result.items():
-                        merged = next_frontier.setdefault(child, set())
-                        for states in pickled:
-                            merged.update(pickle.loads(states))
-                # a sorted list takes a fraction of a set's memory while the level waits
-                for child, group in next_frontier.items():
-                    next_frontier[child] = sorted(group)
-            else:
-                for shadow, group in frontier.items():
-                    _expand_batch((shadow, group, mode, depth), next_frontier)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or contextlib.nullcontext():
+        try:
+            for depth in range(depth, target_depth + 1):
+                # every level, a resumed one included, is counted and checked before
+                # it can be written
+                size = sum(_orbit_count(shadow, group, mode) for shadow, group in frontier.items())
+                max_seen = max(max_seen, size)
+                _check_fire_vectors(frontier, depth, budgets)
+                if max_seconds is not None and time.monotonic() - started > max_seconds:
+                    raise pause("time budget exhausted")
+                if max_frontier is not None and size > max_frontier:
+                    raise pause("frontier size limit exceeded")
+                if (
+                    checkpoint_path is not None
+                    and time.monotonic() - last_checkpoint >= checkpoint_every
+                ):
+                    write_checkpoint(
+                        checkpoint_path, ell, mode, depth, frontier, explored, max_seen
+                    )
+                    last_checkpoint = time.monotonic()
+                if on_level is not None:
+                    on_level(depth, target_depth, size, explored, time.monotonic() - started)
+                if depth < target_depth:
+                    frontier = _expand_level(frontier, mode, depth, pool, workers)
+                    explored += size
             explored += size
-            frontier = next_frontier
-            depth += 1
-        explored += size
-        # raised, not asserted: python -O must not resume a forged frontier
-        if any(max(shadow) >= 3 for shadow in frontier):
-            raise AssertionError("search ran past the fixed stabilization depth")
-    except MemoryError:
-        raise pause("out of memory") from None
-    except AssertionError as exc:
-        if resume_path is None:
-            raise
-        raise CorpusError(f"{resume_path}: resumed frontier is not reachable: {exc}") from exc
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            # raised, not asserted: python -O must not resume a forged frontier
+            if any(max(shadow) >= 3 for shadow in frontier):
+                raise AssertionError("search ran past the fixed stabilization depth")
+        except MemoryError:
+            raise pause("out of memory") from None
+        except BrokenProcessPool:
+            raise pause("a worker process ended abruptly") from None
+        except AssertionError as exc:
+            if resume_path is None:
+                raise
+            raise CorpusError(f"{resume_path}: resumed frontier is not reachable: {exc}") from exc
 
     # the stable level by shadow, in whole orbits
     stable: dict[bytes, set[int]] = {}

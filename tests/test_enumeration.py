@@ -1,17 +1,20 @@
+import contextlib
 import gc
 import hashlib
+import io
 import itertools
 import json
 import os
 import tracemalloc
 import types
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chipfire import checks, enumeration, labeled, unlabeled
+from chipfire import checks, cli, enumeration, labeled, unlabeled
 from conftest import single_chip_config
 
 
@@ -122,6 +125,16 @@ def checkpoint_body(data):
     return {bytes.fromhex(line) for line in data.decode().split("\n")[1:] if line}
 
 
+def levels_of(records):
+    """An on_level hook that appends each level's (depth, target, size, explored) to `records`."""
+
+    def on_level(depth, target, size, explored, seconds):
+        assert seconds >= 0
+        records.append((depth, target, size, explored))
+
+    return on_level
+
+
 class TestGroundTruth:
     @pytest.mark.parametrize("ell,expected", [(1, 1), (2, 1), (3, 6)])
     def test_counts(self, ell, expected):
@@ -168,9 +181,15 @@ class TestDeterminismAndModes:
 
     def test_worker_count_does_not_change_results(self, stable3):
         # with two workers every level, and the budget check, goes through the process pool
-        parallel = enumeration.enumerate_stable(3, workers=2)
-        assert parallel.canonical_keys() == stable3.canonical_keys()
-        assert parallel.meta == stable3.meta
+        records = {1: [], 2: []}
+        for workers, levels in records.items():
+            result = enumeration.enumerate_stable(3, workers=workers, on_level=levels_of(levels))
+            assert result.canonical_keys() == stable3.canonical_keys()
+            assert result.meta == stable3.meta
+        assert records[1] == records[2]
+        depth, target, size, explored = records[1][-1]
+        assert depth == target == unlabeled.total_fires(7)
+        assert explored + size == stable3.meta["explored_states"]
 
 
 class TestFireVector:
@@ -413,16 +432,23 @@ class TestWorkers:
 
     @pytest.mark.parametrize("mode", enumeration.MODES)
     def test_one_process_and_the_pool_write_the_same_checkpoint(self, mode, tmp_path):
-        written = []
-        for workers in (1, 2):
+        written, records = [], {1: [], 2: []}
+        for workers, levels in records.items():
             ckpt = tmp_path / f"{workers}.ckpt"
             with pytest.raises(enumeration.EnumerationPaused) as info:
                 enumeration.enumerate_stable(
-                    4, mode=mode, workers=workers, max_frontier=50_000, checkpoint_path=str(ckpt)
+                    4,
+                    mode=mode,
+                    workers=workers,
+                    max_frontier=50_000,
+                    checkpoint_path=str(ckpt),
+                    on_level=levels_of(levels),
                 )
             assert info.value.depth == 4
             written.append(ckpt.read_bytes())
         assert written[0] == written[1]
+        assert [depth for depth, *_ in records[1]] == [0, 1, 2, 3]
+        assert records[1] == records[2]
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -436,11 +462,41 @@ class TestWorkers:
             def map(self, func, batches):
                 return map(func, batches)
 
-            def shutdown(self):
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
                 pass
 
         monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
         return started
+
+    def test_a_dead_worker_pauses_the_cli_with_the_level_it_was_on(
+        self, stable3, tmp_path, monkeypatch, pools
+    ):
+        class DyingPool(enumeration.ProcessPoolExecutor):
+            def map(self, func, batches):
+                for batch in batches:
+                    yield func(batch)
+                    if batch[3] == 2:  # a worker dies once depth 2's first batch is merged
+                        raise BrokenProcessPool("a child process terminated abruptly")
+
+        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", DyingPool)
+        monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        ckpt, out, ref = (str(tmp_path / name) for name in ("K", "z3.jsonl", "ref.jsonl"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            argv = ["enumerate", "--ell", "3", "--workers", "2", "--checkpoint", ckpt]
+            assert cli.main(argv) == 4
+            assert enumeration.read_checkpoint(ckpt, 3, "full")[0] == 2
+            assert cli.main(["enumerate", "--ell", "3", "--resume", ckpt, "--out", out]) == 0
+        assert pools == [2]
+        assert err.getvalue() == (
+            "paused: enumeration paused at depth 2 (frontier 36): "
+            f"a worker process ended abruptly; checkpoint written to {ckpt}\n"
+        )
+        enumeration.save(stable3, ref)
+        assert Path(out).read_bytes() == Path(ref).read_bytes()
 
     def test_pool_is_capped_at_the_cpu_count(self, stable3, monkeypatch, pools):
         monkeypatch.setattr(enumeration.os, "cpu_count", lambda: 3)
@@ -617,12 +673,19 @@ class TestPersistence:
 class TestCheckpointing:
     def test_pause_and_resume(self, stable3, tmp_path):
         ckpt = str(tmp_path / "z3.ckpt")
+        levels, whole = [], []
         with pytest.raises(enumeration.EnumerationPaused) as info:
-            enumeration.enumerate_stable(3, max_frontier=5, checkpoint_path=ckpt)
+            enumeration.enumerate_stable(
+                3, max_frontier=5, checkpoint_path=ckpt, on_level=levels_of(levels)
+            )
         assert info.value.checkpoint_path == ckpt
         assert info.value.reason == "frontier size limit exceeded"
-        resumed = enumeration.enumerate_stable(3, resume_path=ckpt)
+        assert [depth for depth, *_ in levels] == list(range(info.value.depth))
+        resumed = enumeration.enumerate_stable(3, resume_path=ckpt, on_level=levels_of(levels))
         assert resumed.canonical_keys() == stable3.canonical_keys()
+        # the paused level is reported once, by the resumed run
+        enumeration.enumerate_stable(3, on_level=levels_of(whole))
+        assert levels == whole
 
     def test_immediate_time_budget_pause(self, tmp_path):
         ckpt = str(tmp_path / "z3.ckpt")
