@@ -28,7 +28,7 @@ __all__ = [
     "min_layers_for",
 ]
 
-PENULTIMATE_MODES = ("strict", "lenient", "literal")
+PENULTIMATE_MODES = ("strict", "literal")
 
 
 @dataclass(frozen=True)
@@ -167,9 +167,8 @@ def check_penultimate(config: LabeledConfig, mode: str = "strict") -> CheckRepor
     For v on layer ell - 1 and any proper ancestor u having v as a
     straight-left descendant, the chip at v is the smallest chip in u's
     subtree above the bottom layer (symmetrically largest on the
-    straight-right side).  "strict" and "lenient" both mean this: they
-    differ only in whether u = v is tested, and the chip at v is the only
-    chip of v's subtree above the bottom layer, so that case always holds.
+    straight-right side); "strict" means this.  v itself need not be tested:
+    the chip at v is the only chip of v's subtree above the bottom layer.
     "literal" tests the chip at u instead of the chip at v, which is the
     other possible reading of the property; it fails on genuine stable
     configurations with 3 or more layers and is kept for comparison only.

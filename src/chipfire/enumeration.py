@@ -109,6 +109,9 @@ VERSIONS = {CORPUS_FORMAT: 1, CHECKPOINT_FORMAT: 2}
 
 MODES = ("full", "scheduled")
 
+# the search counters of corpus and checkpoint headers, in their order there
+_COUNTERS = ("explored_states", "max_frontier")
+
 # body lines encoded and written at a time; body bytes read at a time, in whole lines
 _CHUNK_LINES = 1 << 12
 _BLOCK_BYTES = 1 << 16
@@ -123,9 +126,10 @@ class CorpusError(ValueError):
 class EnumerationPaused(RuntimeError):
     """The search stopped before completion; a checkpoint was written."""
 
-    def __init__(self, reason: str, checkpoint_path: str | None, depth: int, frontier: int):
+    def __init__(self, reason: str, checkpoint_path: str | None, depth: int, frontier: int | None):
+        counted = "" if frontier is None else f" (frontier {frontier})"
         super().__init__(
-            f"enumeration paused at depth {depth} (frontier {frontier}): {reason}"
+            f"enumeration paused at depth {depth}{counted}: {reason}"
             + (f"; checkpoint written to {checkpoint_path}" if checkpoint_path else "")
         )
         self.reason = reason
@@ -164,13 +168,8 @@ class StableSet:
 _MIRROR = bytes([0] + [3 * (1 << (v.bit_length() - 1)) - 1 - v for v in range(1, 256)])
 
 
-def _mirror(state: bytes) -> bytes:
-    """The mirror image of `state`: the tree reflected, chip i relabelled N + 1 - i."""
-    return state[::-1].translate(_MIRROR)
-
-
 def _encode(states: Iterable[int], n: int) -> Iterator[bytes]:
-    """The byte encodings of n-chip state ints."""
+    """The `n`-byte big-endian encodings of state ints."""
     return map(int.to_bytes, states, itertools.repeat(n), itertools.repeat("big"))
 
 
@@ -179,11 +178,6 @@ def _mirrors(encoded: Iterable[bytes]) -> Iterator[int]:
     the translated state read little-endian."""
     translated = map(bytes.translate, encoded, itertools.repeat(_MIRROR))
     return map(int.from_bytes, translated, itertools.repeat("little"))
-
-
-def _shadow(state: bytes) -> bytes:
-    """How many chips each vertex of `state` holds, indexed by vertex (entry 0 unused)."""
-    return bytes(map(state.count, range(len(state) + 1)))
 
 
 def _mirror_shadow(shadow: bytes) -> bytes:
@@ -359,7 +353,7 @@ def _stable_configs(shadow: bytes, states: Iterable[int]) -> Iterator[tuple[str,
     slices = list(zip(cells, [0, *ends], ends))
     labels = range(1, n + 1)
     # byte i of a state written in n + 1 bytes is the vertex of chip i
-    for padded in map(int.to_bytes, states, itertools.repeat(n + 1), itertools.repeat("big")):
+    for padded in _encode(states, n + 1):
         ordered = sorted(labels, key=padded.__getitem__)
         yield template % tuple(ordered), LabeledConfig(
             n, {v: ordered[a:b] for v, a, b in slices}
@@ -451,15 +445,20 @@ def enumerate_stable(
     if resume_path is not None:
         depth, frontier, explored, max_seen = read_checkpoint(resume_path, ell, mode)
     else:
-        depth, explored, max_seen, root = 0, 0, 0, bytes([1]) * n_chips
-        frontier = {_shadow(root): [int.from_bytes(root, "big")]}
+        # every chip on the root: each byte of the state is 1, and byte 1 of the shadow N
+        depth, explored, max_seen, root = 0, 0, 0, int.from_bytes(b"\1" * n_chips, "big")
+        frontier = {bytes([0, n_chips]) + bytes(n_chips - 1): [root]}
 
-    started = time.monotonic()
-    last_checkpoint = started
+    started = last_checkpoint = time.monotonic()
 
-    def pause(reason: str) -> EnumerationPaused:
+    def checkpoint() -> None:
+        nonlocal last_checkpoint
         if checkpoint_path is not None:
             write_checkpoint(checkpoint_path, ell, mode, depth, frontier, explored, max_seen)
+            last_checkpoint = time.monotonic()
+
+    def pause(reason: str) -> EnumerationPaused:
+        checkpoint()
         return EnumerationPaused(reason, checkpoint_path, depth, size)
 
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
@@ -467,7 +466,8 @@ def enumerate_stable(
         try:
             for depth in range(depth, target_depth + 1):
                 # every level, a resumed one included, is counted and checked before
-                # it can be written
+                # it can be written; a pause before it is counted names no size
+                size = None
                 size = sum(_orbit_count(shadow, group, mode) for shadow, group in frontier.items())
                 max_seen = max(max_seen, size)
                 _check_fire_vectors(frontier, depth, budgets)
@@ -475,22 +475,18 @@ def enumerate_stable(
                     raise pause("time budget exhausted")
                 if max_frontier is not None and size > max_frontier:
                     raise pause("frontier size limit exceeded")
-                if (
-                    checkpoint_path is not None
-                    and time.monotonic() - last_checkpoint >= checkpoint_every
-                ):
-                    write_checkpoint(
-                        checkpoint_path, ell, mode, depth, frontier, explored, max_seen
-                    )
-                    last_checkpoint = time.monotonic()
+                if time.monotonic() - last_checkpoint >= checkpoint_every:
+                    checkpoint()
                 if on_level is not None:
                     on_level(depth, target_depth, size, explored, time.monotonic() - started)
                 if depth < target_depth:
                     frontier = _expand_level(frontier, mode, depth, pool, workers)
-                    explored += size
-            explored += size
+                explored += size
+            # at depth F(N) every fire vector is the closed-form one, checked above, so
+            # the level has exactly one shadow, and that shadow is its own mirror
+            ((shadow, group),) = frontier.items()
             # raised, not asserted: python -O must not resume a forged frontier
-            if any(max(shadow) >= 3 for shadow in frontier):
+            if max(shadow) >= 3:
                 raise AssertionError("search ran past the fixed stabilization depth")
         except MemoryError:
             raise pause("out of memory") from None
@@ -501,22 +497,15 @@ def enumerate_stable(
                 raise
             raise CorpusError(f"{resume_path}: resumed frontier is not reachable: {exc}") from exc
 
-    # the stable level by shadow, in whole orbits
-    stable: dict[bytes, set[int]] = {}
-    for shadow, group in frontier.items():
-        stable.setdefault(shadow, set()).update(group)
-        if mode == "full":
-            stable.setdefault(_mirror_shadow(shadow), set()).update(
-                _mirrors(_encode(group, n_chips))
-            )
+    # the stable level in whole orbits
+    if mode == "full":
+        group = {*group, *_mirrors(_encode(group, n_chips))}
     # each config's canonical JSON is built once: it orders the set and save() writes it
-    keyed = sorted(
-        itertools.chain.from_iterable(itertools.starmap(_stable_configs, stable.items()))
-    )
+    keyed = sorted(_stable_configs(shadow, group))
     result = StableSet(
         ell=ell,
         configs=[config for _, config in keyed],
-        meta={"mode": mode, "explored_states": explored, "max_frontier": max_seen},
+        meta={"mode": mode, **dict(zip(_COUNTERS, (explored, max_seen)))},
     )
     result._keys = [key for key, _ in keyed]
     return result
@@ -650,11 +639,16 @@ def _read_header(path: str, head: bytes, fmt: str, count_key: str, int_keys, exp
         if header.get(key) != value:
             raise CorpusError(f"{path}: file has {key}={header.get(key)}, requested {key}={value}")
     # the checksum covers the body only; a search counter may be absent
-    counters = [key for key in ("explored_states", "max_frontier") if key in header]
+    counters = [key for key in _COUNTERS if key in header]
     for key in (count_key, *int_keys, *counters):
         if type(header.get(key)) is not int:
             raise CorpusError(f"{path}: line 1: header needs an integer {key!r}")
     return header
+
+
+def _counters(fields: dict) -> dict:
+    """The search counters of a header or a StableSet's meta; an absent one reads as 0."""
+    return {key: fields.get(key, 0) for key in _COUNTERS}
 
 
 def save(stable_set: StableSet, path: str) -> None:
@@ -665,8 +659,7 @@ def save(stable_set: StableSet, path: str) -> None:
         "ell": stable_set.ell,
         "count": len(lines),
         "mode": stable_set.meta.get("mode", "full"),
-        "explored_states": stable_set.meta.get("explored_states", 0),
-        "max_frontier": stable_set.meta.get("max_frontier", 0),
+        **_counters(stable_set.meta),
     }
     _write_records(path, CORPUS_FORMAT, fields, lines)
 
@@ -687,11 +680,7 @@ def load(path: str) -> StableSet:
     return StableSet(
         ell=ell,
         configs=configs,
-        meta={
-            "mode": header.get("mode", "full"),
-            "explored_states": header.get("explored_states", 0),
-            "max_frontier": header.get("max_frontier", 0),
-        },
+        meta={"mode": header.get("mode", "full"), **_counters(header)},
     )
 
 
@@ -717,8 +706,7 @@ def write_checkpoint(
         "mode": mode,
         "depth": depth,
         "frontier_count": len(states),
-        "explored_states": explored,
-        "max_frontier": max_seen,
+        **dict(zip(_COUNTERS, (explored, max_seen))),
     }
     _write_records(path, CHECKPOINT_FORMAT, fields, map(bytes.hex, _encode(states, 2**ell - 1)))
 
@@ -729,8 +717,7 @@ def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, dict, int, int
     The level is {shadow: state ints}, each group in ascending order.  The
     body's states must be strictly ascending, as write_checkpoint() leaves
     them: a repeated state would be counted twice.  In full mode every
-    state must be the smaller of its mirror pair.  An absent counter reads
-    as 0.
+    state must be the smaller of its mirror pair.
     """
     n_chips = 2**ell - 1
     vertices = bytes(range(1, n_chips + 1))
@@ -776,4 +763,4 @@ def read_checkpoint(path: str, ell: int, mode: str) -> tuple[int, dict, int, int
     if unordered is not None:
         raise CorpusError(f"{path}: line {unordered}: state is not above the one before it")
     level = {key.to_bytes(n_chips + 1, "little"): group for key, group in groups.items()}
-    return header["depth"], level, header.get("explored_states", 0), header.get("max_frontier", 0)
+    return header["depth"], level, *_counters(header).values()

@@ -62,13 +62,6 @@ class LabeledConfig:
         """Per-vertex chip counts (the unlabeled view)."""
         return {v: len(labels) for v, labels in sorted(self.cells.items())}
 
-    def label_at(self, v: int) -> int:
-        """The single label on vertex v; v must hold exactly one chip."""
-        labels = self.cells.get(v, [])
-        if len(labels) != 1:
-            raise ValueError(f"vertex {v} holds {len(labels)} chips, expected 1")
-        return labels[0]
-
     def to_dict(self) -> dict:
         """The JSON object form: cells as a list sorted by vertex."""
         return {

@@ -1,4 +1,5 @@
-"""tools/bench_pairs.summarize: the statistics every BENCH file's claims rest on."""
+"""tools/bench_pairs: the statistics every BENCH file's claims rest on, and the
+agreement of the two sides of an enumerate-ell4 pair."""
 
 import importlib.util
 from pathlib import Path
@@ -57,3 +58,26 @@ def test_a_single_pair_has_its_value_as_both_quartiles():
     assert summary["parent"] == {"median": 4.0, "q1": 4.0, "q3": 4.0}
     assert summary["change"] == {"median": 2.0, "q1": 2.0, "q3": 2.0}
     assert (summary["ratio"], summary["change_wins"], summary["pairs"]) == (0.5, 1, 1)
+
+
+def ell4_run(pair, side, body="020980e1", **header):
+    """A faked enumerate-ell4 run whose process exited 0."""
+    header = {"count": 36220, "explored_states": 48194309, "max_frontier": 9036223, **header}
+    return {"pair": pair, "side": side, "correct": True, "header": header, "body_sha256": body}
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"body": "d6e1ba03"},
+        {"count": 36219},
+        {"explored_states": 48194308},
+        {"max_frontier": 9036222},
+        {"max_frontier": None},
+    ],
+)
+def test_an_ell4_pair_whose_sides_disagree_is_not_correct(change):
+    runs = [ell4_run(0, "parent"), ell4_run(0, "change"), ell4_run(1, "parent")]
+    runs.append(ell4_run(1, "change", **change))
+    bench_pairs.mark_disagreements(runs)
+    assert [run["correct"] for run in runs] == [True, True, False, False]

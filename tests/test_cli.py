@@ -13,6 +13,7 @@ import pytest
 import chipfire
 from chipfire import bounds, enumeration, unlabeled
 from chipfire.cli import build_parser, main
+from conftest import mirror_of, shadow_of
 
 
 def run_cli(capsys, *argv):
@@ -470,7 +471,7 @@ def _level(states):
     """The search's {shadow: ascending state ints} level of the bytes `states`."""
     level = {}
     for state in sorted(states):
-        level.setdefault(enumeration._shadow(state), []).append(int.from_bytes(state, "big"))
+        level.setdefault(shadow_of(state), []).append(int.from_bytes(state, "big"))
     return level
 
 
@@ -498,7 +499,7 @@ def _forge_larger_state_of_a_mirror_pair(path):
     _paused_checkpoint(path)
     depth, frontier, explored, max_seen = enumeration.read_checkpoint(path, 3, "full")
     states = [x.to_bytes(7, "big") for group in frontier.values() for x in group]
-    mirrored = _level({max(s, enumeration._mirror(s)) for s in states})
+    mirrored = _level({max(s, mirror_of(s)) for s in states})
     enumeration.write_checkpoint(path, 3, "full", depth, mirrored, explored, max_seen)
 
 
@@ -512,7 +513,7 @@ def _forge_stable_state_off_its_shadow(path):
     # stable, the smaller of its mirror pair, at depth F(7) = 6, but two chips on vertex 4
     # where every stable 7-chip configuration has one: only its fire vector gives it away
     state = bytes([4, 4, 2, 1, 5, 3, 6])
-    assert state < enumeration._mirror(state)
+    assert state < mirror_of(state)
     depth = unlabeled.total_fires(7)
     enumeration.write_checkpoint(path, 3, "full", depth, _level([state]), 84, 15)
 

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chipfire import checks, cli, enumeration, labeled, unlabeled
-from conftest import single_chip_config
+from conftest import mirror_of, shadow_of, single_chip_config
 
 
 def seven_chip_placements_by_constraints():
@@ -103,7 +103,7 @@ def plain_frontier(n_chips, depth):
 
 
 def orbits(states):
-    return {m for s in states for m in (s, enumeration._mirror(s))}
+    return {m for s in states for m in (s, mirror_of(s))}
 
 
 def ints(states):
@@ -117,7 +117,7 @@ def encoded(groups, n_chips):
 
 def expand(state, mode, depth):
     """One state's successors, as the search's expansion of its shadow group returns them."""
-    groups = enumeration._expand_batch((enumeration._shadow(state), ints([state]), mode, depth))
+    groups = enumeration._expand_batch((shadow_of(state), ints([state]), mode, depth))
     return encoded(groups, len(state))
 
 
@@ -197,19 +197,19 @@ class TestFireVector:
         reached = tallied_bfs(7)
         assert len(reached) == 90
         for config, tally in reached:
-            fires = enumeration._fire_vector(enumeration._shadow(state_of(config)))
+            fires = enumeration._fire_vector(shadow_of(state_of(config)))
             assert fires == [0] + [tally.get(v, 0) for v in range(1, 8)]
         stable = sorted(c.canonical_json() for c, _ in reached if c.is_stable())
         assert stable == stable3.canonical_keys()
 
     def test_rejects_siblings_that_disagree(self):
         # all chips on vertex 7 say f(3) = 7, the empty vertex 6 says f(3) = 0
-        assert enumeration._fire_vector(enumeration._shadow(bytes([7] * 7))) is None
+        assert enumeration._fire_vector(shadow_of(bytes([7] * 7))) is None
 
     def test_sibling_agreement_implies_the_root_equation_and_signs(self):
         accepted = 0
         for state in itertools.combinations_with_replacement(range(1, 8), 7):
-            fires = enumeration._fire_vector(enumeration._shadow(bytes(state)))
+            fires = enumeration._fire_vector(shadow_of(bytes(state)))
             if fires is None:
                 continue
             accepted += 1
@@ -218,7 +218,7 @@ class TestFireVector:
         assert accepted >= 8  # the 7-chip game passes through 8 shadows
 
     def test_budget_check(self):
-        fired_root_once = enumeration._shadow(bytes([2, 1, 3, 1, 1, 1, 1]))
+        fired_root_once = shadow_of(bytes([2, 1, 3, 1, 1, 1, 1]))
         enumeration._check_fire_vectors([fired_root_once], 1, [0, 1] + [0] * 6)
         with pytest.raises(AssertionError, match="depth 1"):
             enumeration._check_fire_vectors([fired_root_once], 1, [0] * 8)
@@ -281,7 +281,7 @@ class TestMirrorQuotient:
         assert header["max_frontier"] == 62_180
         reps = checkpoint_body(data)
         assert header["frontier_count"] == len(reps) == data.count(b"\n") - 1
-        assert all(s <= enumeration._mirror(s) for s in reps)
+        assert all(s <= mirror_of(s) for s in reps)
         reference = plain_frontier(15, 4)
         assert len(reference) == 62_180
         assert orbits(reps) == reference
@@ -310,10 +310,10 @@ class TestMirrorQuotient:
         states = {state_of(config) for config, _ in tallied_bfs(7)}
         assert len(states) == 90
         for s in states:
-            m = enumeration._mirror(s)
+            m = mirror_of(s)
             assert m in states
-            assert enumeration._mirror(m) == s
-            assert {enumeration._mirror(t) for t in plain_successors(s)} == plain_successors(m)
+            assert mirror_of(m) == s
+            assert {mirror_of(t) for t in plain_successors(s)} == plain_successors(m)
 
     def test_stable_set_is_closed_under_the_mirror(self, stable3):
         states = {state_of(config) for config in stable3.configs}
@@ -343,7 +343,7 @@ class TestWholeGroups:
             enumeration.enumerate_stable(5, max_frontier=50_000, checkpoint_path=str(ckpt))
         assert (info.value.depth, info.value.frontier) == (2, 55_188)
         reps = checkpoint_body(ckpt.read_bytes())
-        assert all(s <= enumeration._mirror(s) for s in reps)
+        assert all(s <= mirror_of(s) for s in reps)
         assert orbits(reps) == plain_frontier(31, 2)
         # only the root fires at depth 2; states that share their root chips
         # differ in which two of the other four went left, two ways at most
@@ -352,7 +352,7 @@ class TestWholeGroups:
             subgroups.setdefault(state.translate(bytes([0, 1]) + bytes(254)), []).append(state)
         group = max(subgroups.values(), key=len)
         assert len(group) == 2
-        level = enumeration._expand_batch((enumeration._shadow(group[0]), ints(group), "full", 2))
+        level = enumeration._expand_batch((shadow_of(group[0]), ints(group), "full", 2))
         plain = set().union(*map(plain_successors, group))
         assert orbits(encoded(level, 31)) == orbits(plain)
 
@@ -408,17 +408,17 @@ class TestShadowGroups:
 class TestOrbitCount:
     def test_only_a_self_mirror_shadow_is_compared_with_mirrors(self, monkeypatch):
         fired = bytes([2, 1, 3, 1, 1, 1, 1])  # the root fired once: a self-mirror shadow
-        assert enumeration._mirror(fired) == bytes([1, 1, 1, 1, 2, 1, 3]) != fired
+        assert mirror_of(fired) == bytes([1, 1, 1, 1, 2, 1, 3]) != fired
         palindrome = bytes([2, 1, 1, 1, 1, 1, 3])  # chip 1 on vertex 2, chip 7 on vertex 3
-        assert enumeration._mirror(palindrome) == palindrome
-        shadow = enumeration._shadow(fired)
-        assert enumeration._mirror_shadow(shadow) == shadow == enumeration._shadow(palindrome)
+        assert mirror_of(palindrome) == palindrome
+        shadow = shadow_of(fired)
+        assert enumeration._mirror_shadow(shadow) == shadow == shadow_of(palindrome)
         group = ints([fired, palindrome])
         assert enumeration._orbit_count(shadow, group, "full") == 3
         assert enumeration._orbit_count(shadow, group, "scheduled") == 2
 
         left = bytes([2, 1, 2, 2, 1, 1, 1])  # three chips on vertex 2, none on vertex 3
-        lopsided = enumeration._shadow(left)
+        lopsided = shadow_of(left)
         assert enumeration._mirror_shadow(lopsided) != lopsided
         monkeypatch.setattr(enumeration, "_mirrors", None)  # never called for this group
         assert enumeration._orbit_count(lopsided, ints([left]), "full") == 2
@@ -562,7 +562,7 @@ class TestPersistence:
         groups = {}
         for config, _ in tallied_bfs(7):
             state = state_of(config)
-            shadow_group = groups.setdefault(enumeration._shadow(state), {})
+            shadow_group = groups.setdefault(shadow_of(state), {})
             shadow_group[int.from_bytes(state, "big")] = config
         assert len(groups) == 8
         for shadow, configs in groups.items():
@@ -687,6 +687,33 @@ class TestCheckpointing:
         enumeration.enumerate_stable(3, on_level=levels_of(whole))
         assert levels == whole
 
+    @pytest.mark.parametrize("failing_call,depth", [(1, 0), (3, 2)])
+    def test_memory_running_out_while_a_level_is_counted_pauses_the_cli_at_that_level(
+        self, stable3, tmp_path, monkeypatch, failing_call, depth
+    ):
+        # ell = 3 has one shadow at each of depths 0..2, so the third count is depth 2's
+        orbit_count, calls = enumeration._orbit_count, itertools.count(1)
+
+        def out_of_memory_once(*args):
+            if next(calls) == failing_call:
+                raise MemoryError
+            return orbit_count(*args)
+
+        monkeypatch.setattr(enumeration, "_orbit_count", out_of_memory_once)
+        ckpt, out, ref = (str(tmp_path / name) for name in ("K", "z3.jsonl", "ref.jsonl"))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert cli.main(["enumerate", "--ell", "3", "--checkpoint", ckpt]) == 4
+            assert enumeration.read_checkpoint(ckpt, 3, "full")[0] == depth
+            assert cli.main(["enumerate", "--ell", "3", "--resume", ckpt, "--out", out]) == 0
+        # the level was not counted, so the line names no frontier size
+        assert err.getvalue() == (
+            f"paused: enumeration paused at depth {depth}: out of memory; "
+            f"checkpoint written to {ckpt}\n"
+        )
+        enumeration.save(stable3, ref)
+        assert Path(out).read_bytes() == Path(ref).read_bytes()
+
     def test_immediate_time_budget_pause(self, tmp_path):
         ckpt = str(tmp_path / "z3.ckpt")
         with pytest.raises(enumeration.EnumerationPaused, match="time budget"):
@@ -733,14 +760,14 @@ class TestCheckpointing:
     def test_full_mode_rejects_a_state_that_is_not_its_orbits_minimum(self, tmp_path):
         ckpt = str(tmp_path / "z3.ckpt")
         fired = bytes([2, 1, 3, 1, 1, 1, 1])
-        mirrored = enumeration._mirror(fired)
+        mirrored = mirror_of(fired)
         assert mirrored == bytes([1, 1, 1, 1, 2, 1, 3]) and mirrored < fired
         for mode in enumeration.MODES:
             fields = {"ell": 3, "mode": mode, "depth": 1, "frontier_count": 2}
             lines = [mirrored.hex(), fired.hex()]
             enumeration._write_records(ckpt, enumeration.CHECKPOINT_FORMAT, fields, lines)
             if mode == "scheduled":
-                level = {enumeration._shadow(fired): ints([mirrored, fired])}
+                level = {shadow_of(fired): ints([mirrored, fired])}
                 assert enumeration.read_checkpoint(ckpt, 3, mode)[1] == level
             else:
                 with pytest.raises(enumeration.CorpusError, match="line 3: .*mirror"):

@@ -11,7 +11,10 @@ neither side.  The extra workload ``enumerate-ell4`` runs the complete
 4-layer full search instead (``chipfire enumerate --ell 4 --workers 2
 --out F``) and records its wall time, the CPU time of the main process,
 the peak RSS of the main process and of the largest worker, the corpus
-header and the sha256 of its body.  The extra workload ``play-deep``
+header and the sha256 of its body; both runs of a pair are marked not
+correct unless the two sides agree on the body's sha256 and on the
+header's ``count``, ``explored_states`` and ``max_frontier``.  The extra
+workload ``play-deep``
 times ``chipfire play --chips N --policy P --seed 0`` in one process for
 N = 16,383 and 65,535 and every policy, and records each game's stdout
 sha256.  A game still running after --seconds is stopped and counted at
@@ -115,6 +118,18 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
+def mark_disagreements(runs: list[dict]) -> None:
+    """Mark both enumerate-ell4 runs of a pair not correct when their corpora
+    differ in body sha256, count, explored_states or max_frontier."""
+    answers: dict[int, list[tuple]] = {}
+    for run in runs:
+        counts = map(run["header"].get, ("count", "explored_states", "max_frontier"))
+        answers.setdefault(run["pair"], []).append((run["body_sha256"], *counts))
+    for run in runs:
+        if len(set(answers[run["pair"]])) > 1:
+            run["correct"] = False
+
+
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per metric: each side's median and quartiles, the median ratio, and the pairs won."""
     summary = {}
@@ -180,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
             runs.append({"pair": i, "seed": seed, "side": side, **result})
             print(f"pair {i} seed {seed} {side}: {json.dumps(result['metrics'])}", flush=True)
     runs.sort(key=lambda r: (r["pair"], r["side"] != "parent"))
+    if args.workload == ELL4:
+        mark_disagreements(runs)
 
     bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     bench.setdefault("workloads", {})[args.workload] = {
