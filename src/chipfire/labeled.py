@@ -120,21 +120,52 @@ def fire(config: LabeledConfig, v: int, triple: tuple[int, int, int]) -> Labeled
     return LabeledConfig(n_chips=config.n_chips, cells=cells)
 
 
+def _three_indices(rng: random.Random, n: int) -> list[int]:
+    """sorted(rng.sample(range(n), 3)), drawn as sample draws it.
+
+    The same steps written with randrange take the same draws from `rng`
+    without sample's per-call overhead.
+    """
+    draw = rng.randrange
+    if n <= 21:
+        # sample's pool of range(n): each drawn slot is refilled from the
+        # pool's last one, so i's slot then holds n - 1 and j's holds `refill`
+        i = draw(n)
+        j = draw(n - 1)
+        k = draw(n - 2)
+        refill = n - 1 if i == n - 2 else n - 2
+        return sorted((i, n - 1 if j == i else j, refill if k == j else n - 1 if k == i else k))
+    # sample redraws an index it has already drawn
+    i = draw(n)
+    j = draw(n)
+    while j == i:
+        j = draw(n)
+    k = draw(n)
+    while k == i or k == j:
+        k = draw(n)
+    return sorted((i, j, k))
+
+
 def run_policy_traced(
     n_chips: int, policy: str = "min-triple", seed: int | None = None
 ) -> tuple[LabeledConfig, dict[int, int]]:
     """Like run_policy, but also returns the per-vertex fire tallies.
 
-    The labels ride on the unlabeled game's own lowest-index-first fires:
+    One fire per step, on the unlabeled game's lowest-index-first queue:
     each vertex keeps one ascending label list, changed in place.
     """
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}; expected one of {POLICIES}")
     rng = random.Random(seed) if policy == "random" else None
-    counts, fired, fires = unlabeled._game(n_chips, "lowest-index-first", None)
-    cells: list[list[int]] = [[] for _ in counts]
+    size, cap, queue, push, pop = unlabeled._game(n_chips, "lowest-index-first", None)
+    cells: list[list[int]] = [[] for _ in range(size)]
     cells[1] = list(range(1, n_chips + 1))
-    for v in fires:
+    fired = [0] * size
+    fires = 0
+    while queue:
+        if fires == cap:
+            raise unlabeled._over_cap(cap, n_chips)
+        v = pop()
         here = cells[v]
         if policy == "min-triple":
             small, mid, large = here[:3]
@@ -144,13 +175,19 @@ def run_policy_traced(
             del here[-3:]
         else:
             # sampling indices draws what sampling the labels would
-            i, j, k = sorted(rng.sample(range(len(here)), 3))
+            i, j, k = _three_indices(rng, len(here))
             small, mid, large = here[i], here[j], here[k]
             del here[k], here[j], here[i]
+        fires += 1
+        fired[v] += 1
+        if len(here) >= 3:
+            push(v)
         # middle chip returns to the root via its self-loop
-        insort(cells[v >> 1 or 1], mid)
-        insort(cells[2 * v], small)
-        insort(cells[2 * v + 1], large)
+        for u, label in ((v >> 1 or 1, mid), (2 * v, small), (2 * v + 1, large)):
+            there = cells[u]
+            insort(there, label)
+            if len(there) == 3:
+                push(u)
     config = LabeledConfig(n_chips=n_chips, cells={v: ls for v, ls in enumerate(cells) if ls})
     return config, {v: k for v, k in enumerate(fired) if k}
 

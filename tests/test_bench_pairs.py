@@ -1,5 +1,5 @@
 """tools/bench_pairs: the statistics every BENCH file's claims rest on, and the
-agreement of the two sides of an enumerate-ell4 pair."""
+agreement of the two sides of a pair."""
 
 import importlib.util
 from pathlib import Path
@@ -81,3 +81,35 @@ def test_an_ell4_pair_whose_sides_disagree_is_not_correct(change):
     runs.append(ell4_run(1, "change", **change))
     bench_pairs.mark_disagreements(runs)
     assert [run["correct"] for run in runs] == [True, True, False, False]
+
+
+def deep_run(pair, side, **stdout_sha256):
+    """A faked simulate-deep run: per game, the sha256 of its stdout; a game
+    stopped at --seconds has none."""
+    games = {"wall_s.lowest-index-first": "5be1", "wall_s.random": "5be1"}
+    games.update(stdout_sha256)
+    games = {name: sha for name, sha in games.items() if sha is not None}
+    return {"pair": pair, "side": side, "correct": True, "stdout_sha256": games}
+
+
+def test_a_deep_pair_whose_games_print_different_stdout_is_not_correct():
+    runs = [deep_run(0, "parent"), deep_run(0, "change"), deep_run(1, "parent")]
+    runs.append(deep_run(1, "change", **{"wall_s.random": "0ddb"}))
+    # a game one side did not finish is compared on nothing
+    runs += [deep_run(2, "parent", **{"wall_s.random": None}), deep_run(2, "change")]
+    bench_pairs.mark_disagreements(runs)
+    assert [run["correct"] for run in runs] == [True, True, False, False, True, True]
+
+
+
+def test_a_corpus_pair_whose_set_ups_built_different_inputs_is_not_correct():
+    runs = [
+        {"pair": pair, "side": side, "correct": True, "inputs_sha256": sha}
+        for pair, side, sha in (
+            (0, "parent", "a51c"), (0, "change", "a51c"), (1, "parent", "a51c"), (1, "change", "0ddb")
+        )
+    ]
+    # a games run makes no answer to compare
+    runs += [{"pair": 2, "side": side, "correct": True} for side in ("parent", "change")]
+    bench_pairs.mark_disagreements(runs)
+    assert [run["correct"] for run in runs] == [True, True, False, False, True, True]

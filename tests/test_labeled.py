@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 
 import pytest
 
@@ -134,6 +135,23 @@ class TestRunPolicy:
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             labeled.run_policy(5, "largest-first")
+
+    @pytest.mark.parametrize("policy", labeled.POLICIES)
+    def test_step_cap_stops_the_game_one_fire_short(self, monkeypatch, policy):
+        # F(63) = 201 fires; a cap of 200 is met by the last one
+        assert unlabeled.total_fires(63) == 201
+        monkeypatch.setattr(unlabeled, "total_fires", lambda n_chips: 46)
+        with pytest.raises(RuntimeError, match=r"step cap \(200\)"):
+            labeled.run_policy(63, policy, seed=0)
+
+    def test_random_policy_draws_what_sample_draws(self):
+        # both of sample's algorithms (a pool for n <= 21, redraws above), and the
+        # generator left in the same state
+        for seed in range(20):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            for n in [*range(3, 64), 255, 65_535]:
+                assert labeled._three_indices(ours, n) == sorted(theirs.sample(range(n), 3))
+            assert ours.random() == theirs.random()
 
     def test_every_game_is_pinned(self):
         """The stable configuration and fire tallies of every policy, hashed,

@@ -1,3 +1,5 @@
+import heapq
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -6,6 +8,25 @@ from chipfire import labeled, unlabeled
 from chipfire.tree import layer
 
 chip_counts = st.integers(min_value=1, max_value=10**9)
+
+
+def one_fire_per_step(n_chips):
+    """Reference: the game played one fire at a time, lowest index first, to the end.
+    Returns the nonzero cells and fire tallies as simulate() reports them."""
+    cells = {1: n_chips}
+    fired = {}
+    fireable = [1] if n_chips >= 3 else []
+    while fireable:
+        v = heapq.heappop(fireable)
+        cells[v] -= 3
+        fired[v] = fired.get(v, 0) + 1
+        if cells[v] >= 3:
+            heapq.heappush(fireable, v)
+        for u in (v // 2 or 1, 2 * v, 2 * v + 1):
+            cells[u] = cells.get(u, 0) + 1
+            if cells[u] == 3:
+                heapq.heappush(fireable, u)
+    return {v: k for v, k in cells.items() if k}, fired
 
 
 class TestChipCounts:
@@ -172,6 +193,40 @@ class TestSimulate:
         state = unlabeled.simulate(64)
         deepest = len(unlabeled.stable_chip_counts(64))
         assert max(layer(v) for v in state.cells) == deepest
+
+    def test_toppling_matches_one_fire_per_step(self):
+        # one pick fires a vertex up to stability; by the abelian property the
+        # outcome is that of firing once per step, whatever the order
+        for n in range(1, 601):
+            cells, fired = one_fire_per_step(n)
+            for strategy in unlabeled.STRATEGIES:
+                for seed in range(3):
+                    state = unlabeled.simulate(n, strategy, seed=seed)
+                    assert (state.cells, state.fired) == (cells, fired), (n, strategy, seed)
+
+    @pytest.mark.parametrize("strategy", unlabeled.STRATEGIES)
+    def test_deep_game_matches_closed_forms(self, strategy):
+        n = 65_535
+        c = unlabeled.stable_chip_counts(n)
+        f = unlabeled.fires_per_layer(n)
+        state = unlabeled.simulate(n, strategy, seed=1)
+        assert state.cells == {v: c[layer(v) - 1] for v in range(1, 2 ** len(c))}
+        assert state.fired == {
+            v: f[layer(v) - 1] for v in range(1, 2 ** len(f)) if f[layer(v) - 1]
+        }
+
+    @pytest.mark.parametrize("strategy", unlabeled.STRATEGIES)
+    def test_step_cap_counts_fires_not_picks(self, monkeypatch, strategy):
+        # F(4095) = 36,879 fires come in at most 19,714 picks (highest-layer-first;
+        # 14,105 lowest-index-first, about 12,000 random), so a cap 3 fires short
+        # of F(N) is only met when every fire of a pick counts
+        n = 4095
+        total = unlabeled.total_fires(n)
+        cap = 4 * ((total - 17) // 4) + 16
+        assert total - 4 < cap < total
+        monkeypatch.setattr(unlabeled, "total_fires", lambda n_chips: (cap - 16) // 4)
+        with pytest.raises(RuntimeError, match=rf"step cap \({cap}\)"):
+            unlabeled.simulate(n, strategy, seed=0)
 
     def test_step_cap_raises(self, monkeypatch):
         # with F(N) read as 0 the cap is 16 fires, far fewer than 100 chips need

@@ -14,11 +14,16 @@ the peak RSS of the main process and of the largest worker, the corpus
 header and the sha256 of its body; both runs of a pair are marked not
 correct unless the two sides agree on the body's sha256 and on the
 header's ``count``, ``explored_states`` and ``max_frontier``.  The extra
-workload ``play-deep``
-times ``chipfire play --chips N --policy P --seed 0`` in one process for
-N = 16,383 and 65,535 and every policy, and records each game's stdout
-sha256.  A game still running after --seconds is stopped and counted at
---seconds, a lower bound on its time.
+workload ``play-deep`` times ``chipfire play --chips N --policy P --seed 0``
+in one process for N = 16,383 and 65,535 and every policy, and
+``simulate-deep`` times ``chipfire simulate --chips 1048575 --strategy S
+--seed 0`` for every strategy; both record each game's stdout sha256, and
+both runs of a pair are marked not correct when a game that both sides
+finished printed different stdout.  A game still running after --seconds is
+stopped and counted at --seconds, a lower bound on its time.  A corpus run
+also records the sha256 of the corpus its seed's set-up builds, and both
+runs of a pair are marked not correct when the two sides built different
+corpora.
 
 The workload's runs, and per metric each side's median and quartiles, the
 ratio of the medians and the pairs the change won, are stored under the
@@ -38,7 +43,20 @@ import tempfile
 from pathlib import Path
 
 ELL4 = "enumerate-ell4"
-DEEP = "play-deep"
+# the deep-games workloads: per metric name, the chipfire command line it times
+DEEP = {
+    "play-deep": {
+        f"wall_s.{n}.{policy}": ["play", "--chips", str(n), "--policy", policy, "--seed", "0"]
+        for n in (16383, 65535)
+        for policy in ("min-triple", "max-triple", "random")
+    },
+    "simulate-deep": {
+        f"wall_s.{strategy}": [
+            "simulate", "--chips", "1048575", "--strategy", strategy, "--seed", "0"
+        ]
+        for strategy in ("lowest-index-first", "random", "highest-layer-first")
+    },
+}
 
 # run in a fresh interpreter whose PYTHONPATH is the checkout's src/
 _ELL4_CHILD = """
@@ -64,7 +82,7 @@ print(json.dumps({
 
 _DEEP_CHILD = """
 import contextlib, hashlib, io, json, signal, sys, time
-from chipfire import cli, labeled
+from chipfire import cli
 class Cut(BaseException):
     pass
 def cut(signum, frame):
@@ -72,22 +90,20 @@ def cut(signum, frame):
 signal.signal(signal.SIGALRM, cut)
 limit = float(sys.argv[1])
 metrics, stdout_sha256, cut_games, correct = {}, {}, [], True
-for n in (16383, 65535):
-    for policy in labeled.POLICIES:
-        name = f"wall_s.{n}.{policy}"
-        out = io.StringIO()
-        start = time.perf_counter()
-        signal.setitimer(signal.ITIMER_REAL, limit)
-        try:
-            with contextlib.redirect_stdout(out):
-                rc = cli.main(["play", "--chips", str(n), "--policy", policy, "--seed", "0"])
-            correct &= rc == 0
-            stdout_sha256[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
-        except Cut:
-            cut_games.append(name)
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-        metrics[name] = min(time.perf_counter() - start, limit)
+for name, argv in json.loads(sys.argv[2]).items():
+    out = io.StringIO()
+    start = time.perf_counter()
+    signal.setitimer(signal.ITIMER_REAL, limit)
+    try:
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(argv)
+        correct &= rc == 0
+        stdout_sha256[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
+    except Cut:
+        cut_games.append(name)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    metrics[name] = min(time.perf_counter() - start, limit)
 print(json.dumps({
     "correct": correct, "metrics": metrics, "cut": cut_games, "stdout_sha256": stdout_sha256,
 }))
@@ -101,32 +117,55 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
         with tempfile.TemporaryDirectory() as tmp:
             argv = [sys.executable, "-c", _ELL4_CHILD, str(Path(tmp) / "z4.jsonl")]
             done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
-    elif workload == DEEP:
-        argv = [sys.executable, "-c", _DEEP_CHILD, str(seconds)]
+    elif workload in DEEP:
+        argv = [sys.executable, "-c", _DEEP_CHILD, str(seconds), json.dumps(DEEP[workload])]
         done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     else:
         argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
         argv += ["--seconds", str(seconds), "--trace", "0"]
         done = subprocess.run(argv, cwd=root, capture_output=True, text=True)
+    result = _last_line(root, workload, done)
     lines = done.stdout.splitlines()
-    if done.returncode != 0 or not lines:
-        raise SystemExit(f"{root}: {workload} failed (exit {done.returncode}):\n{done.stderr}")
-    result = json.loads(lines[-1])
     machine = [json.loads(line.split(" ", 1)[1]) for line in lines if line.startswith("machine ")]
     if machine:
         result["machine"] = machine[0]
+    if workload == "corpus":
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = [sys.executable, "perfbench/workloads.py", "setup", workload, str(seed), tmp]
+            done = subprocess.run([*argv, "full"], cwd=root, capture_output=True, text=True)
+        result["inputs_sha256"] = _last_line(root, workload, done)["inputs_sha256"]
     return result
 
 
-def mark_disagreements(runs: list[dict]) -> None:
-    """Mark both enumerate-ell4 runs of a pair not correct when their corpora
-    differ in body sha256, count, explored_states or max_frontier."""
-    answers: dict[int, list[tuple]] = {}
-    for run in runs:
+def _last_line(root: Path, workload: str, done: subprocess.CompletedProcess) -> dict:
+    lines = done.stdout.splitlines()
+    if done.returncode != 0 or not lines:
+        raise SystemExit(f"{root}: {workload} failed (exit {done.returncode}):\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def _answers(run: dict) -> dict:
+    """What a run made, by name: its corpus for enumerate-ell4, its inputs for
+    corpus, each game's stdout for a deep-games workload, else nothing."""
+    if "header" in run:
         counts = map(run["header"].get, ("count", "explored_states", "max_frontier"))
-        answers.setdefault(run["pair"], []).append((run["body_sha256"], *counts))
+        return {"corpus": (run["body_sha256"], *counts)}
+    if "inputs_sha256" in run:
+        return {"inputs": run["inputs_sha256"]}
+    return run.get("stdout_sha256", {})
+
+
+def mark_disagreements(runs: list[dict]) -> None:
+    """Mark both runs of a pair not correct when they made different answers:
+    for enumerate-ell4 a corpus that differs in body sha256, count, explored_states
+    or max_frontier; for corpus the set-up's inputs; for a deep-games workload a
+    game's stdout, where both sides finished the game."""
+    pairs: dict[int, list[dict]] = {}
     for run in runs:
-        if len(set(answers[run["pair"]])) > 1:
+        pairs.setdefault(run["pair"], []).append(_answers(run))
+    for run in runs:
+        first, *rest = pairs[run["pair"]]
+        if any(first[k] != other[k] for other in rest for k in first.keys() & other.keys()):
             run["correct"] = False
 
 
@@ -172,12 +211,8 @@ def main(argv: list[str] | None = None) -> int:
             "main_rss_mb": "lower",
             "worker_rss_mb": "lower",
         }
-    elif args.workload == DEEP:
-        better = {
-            f"wall_s.{n}.{policy}": "lower"
-            for n in (16383, 65535)
-            for policy in ("min-triple", "max-triple", "random")
-        }
+    elif args.workload in DEEP:
+        better = dict.fromkeys(DEEP[args.workload], "lower")
     else:
         spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -195,14 +230,16 @@ def main(argv: list[str] | None = None) -> int:
             runs.append({"pair": i, "seed": seed, "side": side, **result})
             print(f"pair {i} seed {seed} {side}: {json.dumps(result['metrics'])}", flush=True)
     runs.sort(key=lambda r: (r["pair"], r["side"] != "parent"))
-    if args.workload == ELL4:
-        mark_disagreements(runs)
+    mark_disagreements(runs)
 
     bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     bench.setdefault("workloads", {})[args.workload] = {
         "command": {
             ELL4: "enumerate --ell 4 --workers 2 --out F",
-            DEEP: f"play --chips N --policy P --seed 0, stopped after {args.seconds:g} s",
+            "play-deep": f"play --chips N --policy P --seed 0, stopped after {args.seconds:g} s",
+            "simulate-deep": (
+                f"simulate --chips 1048575 --strategy S --seed 0, stopped after {args.seconds:g} s"
+            ),
         }.get(
             args.workload,
             f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0",
