@@ -37,6 +37,8 @@ __all__ = [
     "zigzag_bound",
     "ballot_split_count",
     "ballot_bound",
+    "METHODS",
+    "CONDITIONAL",
     "BoundRow",
     "compare_table",
     "sci",
@@ -209,6 +211,12 @@ def ballot_bound(ell: int) -> tuple[int, int]:
     return t_bound, z_bound
 
 
+# the bounds by name, in the order every table and listing prints them
+METHODS = {"naive": naive_bounds, "zigzag": zigzag_bound, "ballot": ballot_bound}
+# the methods whose figures hold only if the left-right domination conjecture does
+CONDITIONAL = ("ballot",)
+
+
 @dataclass(frozen=True)
 class BoundRow:
     """One comparison row: all six exact bound values for a given ell."""
@@ -240,10 +248,7 @@ def compare_table(ells: Iterable[int]) -> list[BoundRow]:
     for ell in ells:
         if ell < 4:
             raise ValueError("comparison table rows need ell >= 4")
-        naive_t, naive_z = naive_bounds(ell)
-        zz_t, zz_z = zigzag_bound(ell)
-        b_t, b_z = ballot_bound(ell)
-        rows.append(BoundRow(ell, naive_t, naive_z, zz_t, zz_z, b_t, b_z))
+        rows.append(BoundRow(ell, *(value for bound in METHODS.values() for value in bound(ell))))
     return rows
 
 

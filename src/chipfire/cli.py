@@ -118,8 +118,8 @@ def cmd_simulate(args) -> int:
         "n_chips": state.n_chips,
         "strategy": args.strategy,
         "seed": args.seed,
-        "cells": {str(v): k for v, k in sorted(state.cells.items())},
-        "fired": {str(v): k for v, k in sorted(state.fired.items())},
+        "cells": state.cells,
+        "fired": state.fired,
         "total_fires": sum(state.fired.values()),
     }
     print(_dump(out))
@@ -132,7 +132,7 @@ def cmd_play(args) -> int:
         "policy": args.policy,
         "seed": args.seed,
         "total_fires": sum(fired.values()),
-        "fired": [[v, k] for v, k in sorted(fired.items())],
+        "fired": list(fired.items()),
         "config": config.to_dict(),
     }
     print(_dump(out))
@@ -174,10 +174,6 @@ def cmd_bounds(args) -> int:
             sys.set_int_max_str_digits(limit)
 
 
-# the table's value columns, named as in the --json rows and the CSV header
-_TABLE_COLUMNS = ("naive_z", "zigzag_z", "ballot_z")
-
-
 def _bounds(args) -> int:
     if args.table is None and args.ell is None:
         return _fail("either --ell or --table is required")
@@ -190,36 +186,35 @@ def _bounds(args) -> int:
     def fmt(value: int) -> str:
         return bounds_mod.sci(value) if use_sci else str(value)
 
+    mark = dict.fromkeys(bounds_mod.CONDITIONAL, " (conditional)")  # text output's mark
+
     if args.table is not None:
         rows = bounds_mod.compare_table(range(lo, hi + 1))
+        # the Z value of each method, named as in the --json rows and the CSV header
+        columns = [f"{name}_z" for name in bounds_mod.METHODS]
         if args.json:
             out = [
-                {"ell": r.ell, **{c: getattr(r, c) for c in _TABLE_COLUMNS}, "flags": r.flags()}
+                {"ell": r.ell, **{c: getattr(r, c) for c in columns}, "flags": r.flags()}
                 for r in rows
             ]
-            print(_dump({"rows": out, "conditional": ["ballot"]}))
+            print(_dump({"rows": out, "conditional": list(bounds_mod.CONDITIONAL)}))
             return EXIT_OK
-        body = [[str(r.ell), *(fmt(getattr(r, c)) for c in _TABLE_COLUMNS)] for r in rows]
+        body = [[str(r.ell), *(fmt(getattr(r, c)) for c in columns)] for r in rows]
         if args.csv:
-            for row in [["ell", *_TABLE_COLUMNS], *body]:
+            for row in [["ell", *columns], *body]:
                 print(",".join(row))
         else:
-            cells = [["ell", "naive", "zigzag", "ballot (conditional)"], *body]
-            widths = [max(len(row[i]) for row in cells) for i in range(4)]
+            cells = [["ell", *(name + mark.get(name, "") for name in bounds_mod.METHODS)], *body]
+            widths = [max(map(len, column)) for column in zip(*cells)]
             for row in cells:
                 print("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
         return EXIT_OK
 
-    methods = {
-        "naive": bounds_mod.naive_bounds,
-        "zigzag": bounds_mod.zigzag_bound,
-        "ballot": bounds_mod.ballot_bound,
-    }
     if args.method != "all":
-        results = {args.method: methods[args.method](args.ell)}
+        results = {args.method: bounds_mod.METHODS[args.method](args.ell)}
     else:
         results = {}
-        for name, func in methods.items():
+        for name, func in bounds_mod.METHODS.items():
             with contextlib.suppress(ValueError):  # left out where it is undefined
                 results[name] = func(args.ell)
         if not results:
@@ -230,14 +225,13 @@ def _bounds(args) -> int:
                 {
                     "ell": args.ell,
                     "bounds": {name: {"t": t, "z": z} for name, (t, z) in results.items()},
-                    "conditional": [n for n in results if n == "ballot"],
+                    "conditional": [n for n in results if n in bounds_mod.CONDITIONAL],
                 }
             )
         )
     else:
         for name, (t, z) in results.items():
-            suffix = " (conditional)" if name == "ballot" else ""
-            print(f"{name}{suffix} T={fmt(t)} Z={fmt(z)}")
+            print(f"{name}{mark.get(name, '')} T={fmt(t)} Z={fmt(z)}")
     return EXIT_OK
 
 
@@ -416,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="exact bounds on stable-configuration counts")
     p.add_argument("--ell", type=int)
-    p.add_argument("--method", choices=["naive", "zigzag", "ballot", "all"], default="all")
+    p.add_argument("--method", choices=[*bounds_mod.METHODS, "all"], default="all")
     p.add_argument("--table", metavar="L1..L2", help="comparison table over an ell range")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--exact", action="store_true", help="print exact integers")

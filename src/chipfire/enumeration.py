@@ -522,11 +522,11 @@ def extract_subtree_orders(stable_set: StableSet, depth: int) -> set[str]:
     if not 1 <= depth <= ell:
         raise ValueError(f"depth must be in 1..{ell}, got {depth}")
     top = ell - depth + 1
-    roots = range(2 ** (top - 1), 2**top)
+    # the roots are ranged per config: a set with no configs, whatever its ell, ranges none
     return {
         relative_order_key(config, root, depth)
         for config in stable_set.configs
-        for root in roots
+        for root in range(2 ** (top - 1), 2**top)
     }
 
 

@@ -166,7 +166,8 @@ def profile(n_chips: int) -> UnlabeledProfile:
 
 @dataclass
 class UnlabeledState:
-    """Final state of a simulation: nonzero cells and per-vertex fire tallies."""
+    """Final state of a simulation: nonzero cells and per-vertex fire tallies,
+    both in ascending vertex order."""
 
     n_chips: int
     cells: dict[int, int]

@@ -1,10 +1,16 @@
-"""tools/bench_pairs: the statistics every BENCH file's claims rest on, and the
-agreement of the two sides of a pair."""
+"""tools/bench_pairs: the statistics every BENCH file's claims rest on, the
+agreement of the two sides of a pair, and the one child process per deep game."""
 
+import contextlib
+import hashlib
 import importlib.util
+import io
+import json
 from pathlib import Path
 
 import pytest
+
+from chipfire import cli
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
@@ -86,7 +92,7 @@ def test_an_ell4_pair_whose_sides_disagree_is_not_correct(change):
 def deep_run(pair, side, **stdout_sha256):
     """A faked simulate-deep run: per game, the sha256 of its stdout; a game
     stopped at --seconds has none."""
-    games = {"wall_s.lowest-index-first": "5be1", "wall_s.random": "5be1"}
+    games = {"lowest-index-first": "5be1", "random": "5be1"}
     games.update(stdout_sha256)
     games = {name: sha for name, sha in games.items() if sha is not None}
     return {"pair": pair, "side": side, "correct": True, "stdout_sha256": games}
@@ -94,11 +100,38 @@ def deep_run(pair, side, **stdout_sha256):
 
 def test_a_deep_pair_whose_games_print_different_stdout_is_not_correct():
     runs = [deep_run(0, "parent"), deep_run(0, "change"), deep_run(1, "parent")]
-    runs.append(deep_run(1, "change", **{"wall_s.random": "0ddb"}))
+    runs.append(deep_run(1, "change", random="0ddb"))
     # a game one side did not finish is compared on nothing
-    runs += [deep_run(2, "parent", **{"wall_s.random": None}), deep_run(2, "change")]
+    runs += [deep_run(2, "parent", random=None), deep_run(2, "change")]
     bench_pairs.mark_disagreements(runs)
     assert [run["correct"] for run in runs] == [True, True, False, False, True, True]
+
+
+def test_each_deep_game_records_its_own_time_and_peak_rss(monkeypatch, tmp_path):
+    # the long game goes first: played in one process, the short one would
+    # inherit its peak RSS
+    games = {"long": ["simulate", "--chips", "1048575"], "short": ["simulate", "--chips", "6"]}
+    monkeypatch.setitem(bench_pairs.DEEP, "two-games", games)
+    root, out = _PATH.parents[1], tmp_path / "bench.json"
+    argv = ["--parent", str(root), "--change", str(root), "--workload", "two-games"]
+    argv += ["--pairs", "1", "--seconds", "0.5", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        cli.main(games["short"])
+    short_sha256 = hashlib.sha256(printed.getvalue().encode()).hexdigest()
+    workload = json.loads(out.read_text())["workloads"]["two-games"]
+    assert list(workload["summary"]) == [
+        "wall_s.long", "wall_s.short", "rss_mb.long", "rss_mb.short"
+    ]
+    for run in workload["runs"]:
+        metrics = run["metrics"]
+        # the long game is stopped at --seconds and counted there
+        assert (run["correct"], run["cut"], metrics["wall_s.long"]) == (True, ["long"], 0.5)
+        assert run["stdout_sha256"] == {"short": short_sha256}
+        # its two lists of 2^20 cells alone hold 16 MiB
+        assert 0 < metrics["rss_mb.short"] < metrics["rss_mb.long"]
 
 
 

@@ -4,14 +4,16 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import chipfire
-from chipfire import bounds, enumeration, unlabeled
+from chipfire import bounds, enumeration, labeled, unlabeled
 from chipfire.cli import build_parser, main
 from conftest import mirror_of, shadow_of
 
@@ -80,6 +82,41 @@ class TestSimulate:
         _, second = run_cli(capsys, *args)
         assert first == second
 
+    def test_stdout_is_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for strategy in unlabeled.STRATEGIES:
+            for n in range(1, 301):
+                argv = ("simulate", "--chips", str(n), "--strategy", strategy, "--seed", "0")
+                code, out = run_cli(capsys, *argv)
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "080fbcc1f5f6a330af8e3299a34afe7ec948eb832c61b4d985e070219005ee58"
+        )
+
+    def test_printing_holds_little_beyond_the_game(self):
+        # the game's own peak at 65,535 chips is about 7.6 MiB and its stdout 0.9 MiB;
+        # printing the result as simulate returns it adds about 6.5 MiB, and a sorted,
+        # re-keyed copy of both dicts about 14 MiB
+        def peak(run) -> int:
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        out = io.StringIO()
+
+        def play_and_print():
+            with contextlib.redirect_stdout(out):
+                main(["simulate", "--chips", "65535"])
+
+        game = peak(lambda: unlabeled.simulate(65535))
+        excess = peak(play_and_print) - game
+        assert json.loads(out.getvalue())["total_fires"] == unlabeled.total_fires(65535)
+        assert excess < 10 * 2**20
+
 
 class TestPlay:
     def test_policy_game(self, capsys):
@@ -88,6 +125,18 @@ class TestPlay:
         payload = json.loads(out)
         assert payload["total_fires"] == 23
         assert sum(len(e["chips"]) for e in payload["config"]["cells"]) == 15
+
+    def test_stdout_is_pinned(self, capsys):
+        digest = hashlib.sha256()
+        for policy in labeled.POLICIES:
+            for n in range(1, 101):
+                argv = ("play", "--chips", str(n), "--policy", policy, "--seed", "0")
+                code, out = run_cli(capsys, *argv)
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "4bcad4116e35387d68254a263cbba68a142d151c654edadad0511b9a6d3a5716"
+        )
 
 
 class TestSequence:
@@ -162,6 +211,62 @@ class TestBounds:
             (
                 "--ell 3 --method ballot",
                 "4a3c68d1b1aad6455b1686c775fbfb900fd41673a602954bb85ae06776aade18",
+            ),
+            (
+                "--table 4..9 --exact",
+                "20e5475394ed27ee985fcdc2e04d9d5e49bf0aebb8a7c5265d65b1385dec9408",
+            ),
+            (
+                "--ell 3 --method naive",
+                "6d7970eded86602d429e377f2809f11f04c9b0616b5b79bf79b43ceb8b9971d0",
+            ),
+            (
+                "--ell 3 --method naive --json",
+                "286df90aa6d932644af4455c5b0f826d99535281ea9bde22d63f87e17c2968c8",
+            ),
+            (
+                "--ell 3 --method ballot --json",
+                "b6882844e45c585909266dd97961370d98e449e26b9be09c99701b5b99990c07",
+            ),
+            (
+                "--ell 3 --method all",
+                "18c84c4e137e194b270b773230a9b40317d7173fd4a3c56753be2dcae060eb1c",
+            ),
+            (
+                "--ell 3 --method all --json",
+                "4e017f6bd7eaf2b6647043532c3675d92ce4ea6356793a76359f29738a4d5568",
+            ),
+            (
+                "--ell 4 --method naive",
+                "cd2584a15ed46e153ec2529b155be7f849b846a90e2641f0de8869b4bf5065cd",
+            ),
+            (
+                "--ell 4 --method naive --json",
+                "3f3f42160adc6ccf7017f9f815946ee088d92727cc51c7512e154edaa843d4d7",
+            ),
+            (
+                "--ell 4 --method zigzag",
+                "da43ae1de866e43c5f6947b016b955761f01004ace2f8420bfdf3599085e08e1",
+            ),
+            (
+                "--ell 4 --method zigzag --json",
+                "d71a7b69375eb7bedf5e3f764e48f625ad0f2a630c1c44d06062cb531adac64c",
+            ),
+            (
+                "--ell 4 --method ballot",
+                "0248152546e4b3148cebfd08019245cf329f9f2bc98e7e76ffde779b8f226f08",
+            ),
+            (
+                "--ell 4 --method ballot --json",
+                "b6dddbf7dac526d5b411d64014308f277a8de1e1870f355075c9988c0c925add",
+            ),
+            (
+                "--ell 4 --method all",
+                "c50a2cfd5da420893514e66c17b46d7b0914527e8fcbe32784e36d7f8be32451",
+            ),
+            (
+                "--ell 4 --method all --json",
+                "45493e7be6777072d979417c585dfdca1a344ba0d83d79b1a4cf1d75a5a5b0bc",
             ),
         ],
     )
@@ -707,6 +812,30 @@ def test_a_closed_stderr_stops_the_search_without_a_traceback():
     # the next progress line fails long before the 23-level search could end
     assert proc.wait(timeout=120) == 2
     assert first.startswith("depth 0/23: ") and "Traceback" not in first
+
+
+def test_extract_orders_on_an_empty_corpus_ranges_no_roots(tmp_path):
+    # 2^(ell - depth) roots would take longer, and more memory, than the child is given
+    header = {
+        "format": enumeration.CORPUS_FORMAT,
+        "version": enumeration.VERSIONS[enumeration.CORPUS_FORMAT],
+        "ell": 10**13,
+        "count": 0,
+        "sha256": hashlib.sha256(b"").hexdigest(),
+    }
+    corpus = tmp_path / "empty.jsonl"
+    corpus.write_text(json.dumps(header) + "\n")
+    gigabyte = 2**30
+    proc = subprocess.run(
+        [sys.executable, "-m", "chipfire.cli", "extract-orders", "--input", str(corpus)]
+        + ["--depth", "1"],
+        capture_output=True,
+        text=True,
+        env=_CHILD_ENV,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gigabyte, gigabyte)),
+        timeout=20,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "orders 0\n")
 
 
 def test_an_error_with_stderr_closed_from_the_start_is_not_printed_on_stdout():

@@ -14,16 +14,17 @@ the peak RSS of the main process and of the largest worker, the corpus
 header and the sha256 of its body; both runs of a pair are marked not
 correct unless the two sides agree on the body's sha256 and on the
 header's ``count``, ``explored_states`` and ``max_frontier``.  The extra
-workload ``play-deep`` times ``chipfire play --chips N --policy P --seed 0``
-in one process for N = 16,383 and 65,535 and every policy, and
-``simulate-deep`` times ``chipfire simulate --chips 1048575 --strategy S
---seed 0`` for every strategy; both record each game's stdout sha256, and
-both runs of a pair are marked not correct when a game that both sides
-finished printed different stdout.  A game still running after --seconds is
-stopped and counted at --seconds, a lower bound on its time.  A corpus run
-also records the sha256 of the corpus its seed's set-up builds, and both
-runs of a pair are marked not correct when the two sides built different
-corpora.
+workload ``play-deep`` plays ``chipfire play --chips N --policy P --seed 0``
+for N = 16,383 and 65,535 and every policy, and ``simulate-deep`` plays
+``chipfire simulate --chips 1048575 --strategy S --seed 0`` for every
+strategy.  Each game runs in a child process of its own, which records its
+wall time as ``wall_s.<game>``, its peak RSS as ``rss_mb.<game>`` and the
+sha256 of its stdout; both runs of a pair are marked not correct when a game
+that both sides finished printed different stdout.  A game still running
+after --seconds is stopped and counted at --seconds, a lower bound on its
+time.  A corpus run also records the sha256 of the corpus its seed's set-up
+builds, and both runs of a pair are marked not correct when the two sides
+built different corpora.
 
 The workload's runs, and per metric each side's median and quartiles, the
 ratio of the medians and the pairs the change won, are stored under the
@@ -43,20 +44,20 @@ import tempfile
 from pathlib import Path
 
 ELL4 = "enumerate-ell4"
-# the deep-games workloads: per metric name, the chipfire command line it times
+# the deep-games workloads: per game, the chipfire command line that plays it
 DEEP = {
     "play-deep": {
-        f"wall_s.{n}.{policy}": ["play", "--chips", str(n), "--policy", policy, "--seed", "0"]
+        f"{n}.{policy}": ["play", "--chips", str(n), "--policy", policy, "--seed", "0"]
         for n in (16383, 65535)
         for policy in ("min-triple", "max-triple", "random")
     },
     "simulate-deep": {
-        f"wall_s.{strategy}": [
-            "simulate", "--chips", "1048575", "--strategy", strategy, "--seed", "0"
-        ]
+        strategy: ["simulate", "--chips", "1048575", "--strategy", strategy, "--seed", "0"]
         for strategy in ("lowest-index-first", "random", "highest-layer-first")
     },
 }
+# what each game of a deep-games workload records
+DEEP_METRICS = ("wall_s", "rss_mb")
 
 # run in a fresh interpreter whose PYTHONPATH is the checkout's src/
 _ELL4_CHILD = """
@@ -80,46 +81,53 @@ print(json.dumps({
 }))
 """
 
+# one game; stdout is hashed as it is written, so that the peak RSS is the CLI's own.
+# The peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a child
+# reports at least the peak of the process that started it.
 _DEEP_CHILD = """
-import contextlib, hashlib, io, json, signal, sys, time
+import contextlib, hashlib, json, signal, sys, time
 from chipfire import cli
 class Cut(BaseException):
     pass
 def cut(signum, frame):
     raise Cut
+class Digest:
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+    def write(self, text):
+        self.sha256.update(text.encode())
+        return len(text)
+    def flush(self):
+        pass
 signal.signal(signal.SIGALRM, cut)
-limit = float(sys.argv[1])
-metrics, stdout_sha256, cut_games, correct = {}, {}, [], True
-for name, argv in json.loads(sys.argv[2]).items():
-    out = io.StringIO()
-    start = time.perf_counter()
-    signal.setitimer(signal.ITIMER_REAL, limit)
-    try:
-        with contextlib.redirect_stdout(out):
-            rc = cli.main(argv)
-        correct &= rc == 0
-        stdout_sha256[name] = hashlib.sha256(out.getvalue().encode()).hexdigest()
-    except Cut:
-        cut_games.append(name)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-    metrics[name] = min(time.perf_counter() - start, limit)
-print(json.dumps({
-    "correct": correct, "metrics": metrics, "cut": cut_games, "stdout_sha256": stdout_sha256,
-}))
+limit, out, result = float(sys.argv[1]), Digest(), {"correct": True}
+start = time.perf_counter()
+signal.setitimer(signal.ITIMER_REAL, limit)
+try:
+    with contextlib.redirect_stdout(out):
+        result["correct"] = cli.main(json.loads(sys.argv[2])) == 0
+    result["stdout_sha256"] = out.sha256.hexdigest()
+except Cut:
+    pass
+finally:
+    signal.setitimer(signal.ITIMER_REAL, 0)
+result["wall_s"] = min(time.perf_counter() - start, limit)
+with open("/proc/self/status") as status:
+    peak_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+result["rss_mb"] = peak_kib / 1024
+print(json.dumps(result))
 """
 
 
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One run in one checkout: its result line, plus the machine line if any."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    if workload in DEEP:
+        return run_games(root, env, workload, seconds)
     if workload == ELL4:
         with tempfile.TemporaryDirectory() as tmp:
             argv = [sys.executable, "-c", _ELL4_CHILD, str(Path(tmp) / "z4.jsonl")]
             done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
-    elif workload in DEEP:
-        argv = [sys.executable, "-c", _DEEP_CHILD, str(seconds), json.dumps(DEEP[workload])]
-        done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     else:
         argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
         argv += ["--seconds", str(seconds), "--trace", "0"]
@@ -134,6 +142,23 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
             argv = [sys.executable, "perfbench/workloads.py", "setup", workload, str(seed), tmp]
             done = subprocess.run([*argv, "full"], cwd=root, capture_output=True, text=True)
         result["inputs_sha256"] = _last_line(root, workload, done)["inputs_sha256"]
+    return result
+
+
+def run_games(root: Path, env: dict, workload: str, seconds: float) -> dict:
+    """One run of a deep-games workload: each game in a child process of its own, so
+    that its peak RSS is that game's alone."""
+    result = {"correct": True, "metrics": {}, "cut": [], "stdout_sha256": {}}
+    for game, argv in DEEP[workload].items():
+        child = [sys.executable, "-c", _DEEP_CHILD, str(seconds), json.dumps(argv)]
+        done = subprocess.run(child, cwd=root, env=env, capture_output=True, text=True)
+        played = _last_line(root, workload, done)
+        result["correct"] &= played["correct"]
+        result["metrics"].update({f"{m}.{game}": played[m] for m in DEEP_METRICS})
+        if "stdout_sha256" in played:
+            result["stdout_sha256"][game] = played["stdout_sha256"]
+        else:
+            result["cut"].append(game)
     return result
 
 
@@ -212,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
             "worker_rss_mb": "lower",
         }
     elif args.workload in DEEP:
-        better = dict.fromkeys(DEEP[args.workload], "lower")
+        better = {f"{m}.{game}": "lower" for m in DEEP_METRICS for game in DEEP[args.workload]}
     else:
         spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
