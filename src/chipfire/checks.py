@@ -28,9 +28,6 @@ __all__ = [
     "min_layers_for",
 ]
 
-PENULTIMATE_MODES = ("strict", "literal")
-
-
 @dataclass(frozen=True)
 class Violation:
     vertex: int
@@ -160,32 +157,26 @@ def _straight_ancestors(v: int, left: bool) -> list[int]:
     return out
 
 
-def check_penultimate(config: LabeledConfig, mode: str = "strict") -> CheckReport:
+def check_penultimate(config: LabeledConfig) -> CheckReport:
     """Chips one layer above the bottom are extremes of their straight
     ancestors' subtrees, once the bottom layer is excluded.
 
     For v on layer ell - 1 and any proper ancestor u having v as a
     straight-left descendant, the chip at v is the smallest chip in u's
     subtree above the bottom layer (symmetrically largest on the
-    straight-right side); "strict" means this.  v itself need not be tested:
-    the chip at v is the only chip of v's subtree above the bottom layer.
-    "literal" tests the chip at u instead of the chip at v, which is the
-    other possible reading of the property; it fails on genuine stable
-    configurations with 3 or more layers and is kept for comparison only.
+    straight-right side).  v itself need not be tested: the chip at v is
+    the only chip of v's subtree above the bottom layer.
     """
-    if mode not in PENULTIMATE_MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {PENULTIMATE_MODES}")
     labels, ell = _labels(config, "penultimate")
     sub = _subtree_sorted(labels, ell - 1)  # bottom layer excluded
     report = CheckReport("penultimate")
     for v in range(2 ** (ell - 2), 2 ** (ell - 1)):
         for left, word, end in ((True, "smallest", 0), (False, "largest", -1)):
             for u in _straight_ancestors(v, left):
-                probe = u if mode == "literal" else v
-                if labels[probe] != sub[u][end]:
+                if labels[v] != sub[u][end]:
                     report.add(
-                        probe,
-                        f"chip {labels[probe]} at vertex {probe} is not the {word} "
+                        v,
+                        f"chip {labels[v]} at vertex {v} is not the {word} "
                         f"above the bottom layer in the subtree at {u} (that is {sub[u][end]})",
                     )
     return report

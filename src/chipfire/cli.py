@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
 import json
 import os
 import sys
@@ -109,10 +108,6 @@ def cmd_fires(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    if args.labeled:
-        config = labeled.run_policy(args.chips, args.policy, args.seed)
-        print(config.canonical_json())
-        return EXIT_OK
     state = unlabeled.simulate(args.chips, strategy=args.strategy, seed=args.seed)
     out = {
         "n_chips": state.n_chips,
@@ -309,8 +304,6 @@ def cmd_check(args) -> int:
             if args.property != "all":
                 return _fail(f"property {name} needs at least {needed} layers, corpus has {ell}")
             lines.append(f"skip {name}: needs at least {needed} layers, corpus has {ell}")
-        elif name == "penultimate":
-            checkers[name] = functools.partial(checks.check_penultimate, mode=args.mode)
         else:
             checkers[name] = checks.CHECKERS[name]
 
@@ -368,8 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chips", type=int, required=True)
     p.add_argument("--strategy", choices=unlabeled.STRATEGIES, default="lowest-index-first")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--labeled", action="store_true", help="play the labeled game instead")
-    p.add_argument("--policy", choices=labeled.POLICIES, default="min-triple")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("play", help="play a labeled game with a triple-choice policy")
@@ -399,12 +390,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run property checkers over a stable-set corpus")
     p.add_argument("--input", required=True)
     p.add_argument("--property", choices=[*checks.CHECKERS, "all"], default="all")
-    p.add_argument(
-        "--mode",
-        choices=checks.PENULTIMATE_MODES,
-        default="strict",
-        help="reading of the penultimate-layer property",
-    )
     p.add_argument("--verbose", action="store_true", help="print per-config PASS lines too")
     p.set_defaults(func=cmd_check)
 

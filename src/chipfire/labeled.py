@@ -43,12 +43,15 @@ class LabeledConfig:
 
     def validate(self) -> None:
         seen: list[int] = []
+        # vertices and labels are ints by type: True == 1 and 2.0 == 2, and bool is an int
         for v, labels in self.cells.items():
-            if v < 1:
-                raise ValueError(f"bad vertex {v}")
+            if type(v) is not int or v < 1:
+                raise ValueError(f"bad vertex {v!r}")
             if labels != sorted(labels):
                 raise ValueError(f"labels at vertex {v} are not ascending: {labels}")
             seen.extend(labels)
+        if {*map(type, seen)} - {int}:
+            raise ValueError(f"labels are not all integers: {seen}")
         # checked before the range is built: a forged n_chips must not size it
         if type(self.n_chips) is not int or self.n_chips != len(seen):
             raise ValueError(f"n_chips {self.n_chips!r} is not the label count {len(seen)}")

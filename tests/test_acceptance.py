@@ -158,7 +158,7 @@ def test_criterion_10_determinism(capsys, tmp_path):
         invocations = [
             ("fires", "--chips", "15", "--json"),
             ("simulate", "--chips", "60", "--strategy", "random", "--seed", "9"),
-            ("simulate", "--chips", "5", "--labeled", "--policy", "min-triple"),
+            ("play", "--chips", "5", "--policy", "min-triple"),
             ("play", "--chips", "15", "--policy", "random", "--seed", "1"),
             ("sequence", "--name", "diff-F", "--count", "15"),
             ("sequence", "--name", "f0", "--count", "16", "--csv"),

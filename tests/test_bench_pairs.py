@@ -146,3 +146,14 @@ def test_a_corpus_pair_whose_set_ups_built_different_inputs_is_not_correct():
     runs += [{"pair": 2, "side": side, "correct": True} for side in ("parent", "change")]
     bench_pairs.mark_disagreements(runs)
     assert [run["correct"] for run in runs] == [True, True, False, False, True, True]
+
+
+def test_an_ell4_run_records_its_own_peak_rss_not_its_caller_s(monkeypatch):
+    # a 2-layer search stands in for the 4-layer one
+    monkeypatch.setattr(bench_pairs, "ELL4_ARGV", ["enumerate", "--ell", "2"])
+    # the caller's peak, which ru_maxrss would carry into the child across exec
+    ballast = b"x" * (128 << 20)
+    run = bench_pairs.run_side(_PATH.parents[1], bench_pairs.ELL4, 1, 25.0)
+    del ballast
+    assert (run["correct"], run["header"]["count"]) == (True, 1)
+    assert 0 < run["metrics"]["main_rss_mb"] < 64

@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import itertools
 import json
@@ -108,9 +107,8 @@ class TestZigzagAlternation:
 
 
 class TestPenultimate:
-    def test_strict_passes_on_valid_configs(self):
-        config = single_chip_config(SEVEN)
-        assert checks.check_penultimate(config, mode="strict").passed
+    def test_passes_on_valid_configs(self):
+        assert checks.check_penultimate(single_chip_config(SEVEN)).passed
 
     def test_two_layers_is_trivial(self):
         config = single_chip_config({1: 2, 2: 1, 3: 3})
@@ -121,19 +119,6 @@ class TestPenultimate:
         report = checks.check_penultimate(broken)
         assert not report.passed
         assert any(v.vertex == 2 for v in report.violations)
-
-    def test_literal_reading_rejects_valid_configs(self):
-        # the other reading of the statement (testing the ancestor's own
-        # chip) contradicts genuine stable configurations; keep that fact
-        # pinned down so the default reading stays the corrected one
-        report = checks.check_penultimate(single_chip_config(SEVEN), mode="literal")
-        assert not report.passed
-
-    def test_unknown_mode(self):
-        # lenient, which agreed with strict on every configuration, is gone
-        for mode in ("fuzzy", "lenient"):
-            with pytest.raises(ValueError):
-                checks.check_penultimate(single_chip_config(SEVEN), mode=mode)
 
 
 class TestBallot:
@@ -239,16 +224,9 @@ def _pinned_corpus():
 
 def test_every_report_is_pinned():
     """Each checker's report (or refusal) on every pinned configuration, hashed."""
-    # the removed mode "lenient" gave strict's report on every configuration, so its
-    # entries are strict's and the digest taken with all three modes holds
-    modes = {"strict": "strict", "lenient": "strict", "literal": "literal"}
-    calls = list(checks.CHECKERS.items()) + [
-        (f"penultimate/{name}", functools.partial(checks.check_penultimate, mode=mode))
-        for name, mode in modes.items()
-    ]
     results = []
     for config in _pinned_corpus():
-        for name, checker in calls:
+        for name, checker in checks.CHECKERS.items():
             try:
                 report = checker(config)
             except ValueError as exc:
@@ -257,5 +235,5 @@ def test_every_report_is_pinned():
                 found = [[v.vertex, v.detail] for v in report.violations]
                 results.append([name, report.passed, found])
     digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
-    assert len(results) == 5444 * 9
-    assert digest == "d461b31ade5d7b1a619d37f95a449dd5a9a36570548afa79ea1b44d577071a2d"
+    assert len(results) == 5444 * 6
+    assert digest == "f7d33ec9303a00bf86af128c8286e98110aef3d33b78603705cc7571cdb415da"

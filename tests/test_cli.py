@@ -24,6 +24,14 @@ def run_cli(capsys, *argv):
     return code, captured.out
 
 
+def rewrite_body(corpus, lines):
+    """Give the corpus at `corpus` the body `lines`, and a header that counts and hashes it."""
+    header = json.loads(Path(corpus).read_text().split("\n", 1)[0])
+    body = "".join(line + "\n" for line in lines)
+    header.update(count=len(lines), sha256=hashlib.sha256(body.encode()).hexdigest())
+    Path(corpus).write_text(json.dumps(header, separators=(",", ":")) + "\n" + body)
+
+
 class TestFires:
     def test_text_output(self, capsys):
         code, out = run_cli(capsys, "fires", "--chips", "15")
@@ -63,18 +71,6 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["cells"] == {"1": 2, "2": 2, "3": 2}
         assert payload["total_fires"] == 2
-
-    def test_labeled_prints_the_canonical_config(self, capsys):
-        code, out = run_cli(
-            capsys, "simulate", "--chips", "5", "--labeled", "--policy", "min-triple"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        counts = {entry["v"]: len(entry["chips"]) for entry in payload["cells"]}
-        assert counts == {1: 1, 2: 2, 3: 2}
-        from chipfire.labeled import LabeledConfig
-
-        assert LabeledConfig.from_json(out.strip()).canonical_json() == out.strip()
 
     def test_seed_reproducibility(self, capsys):
         args = ("simulate", "--chips", "100", "--strategy", "random", "--seed", "5")
@@ -125,6 +121,17 @@ class TestPlay:
         payload = json.loads(out)
         assert payload["total_fires"] == 23
         assert sum(len(e["chips"]) for e in payload["config"]["cells"]) == 15
+
+    def test_prints_the_canonical_config(self, capsys):
+        code, out = run_cli(capsys, "play", "--chips", "5", "--policy", "min-triple")
+        assert code == 0
+        config = json.dumps(json.loads(out)["config"], separators=(",", ":"))
+        # the line that the retired `simulate --labeled` printed for this game
+        assert config == (
+            '{"n_chips":5,"cells":[{"v":1,"chips":[4]},'
+            '{"v":2,"chips":[1,2]},{"v":3,"chips":[3,5]}]}'
+        )
+        assert labeled.LabeledConfig.from_json(config).canonical_json() == config
 
     def test_stdout_is_pinned(self, capsys):
         digest = hashlib.sha256()
@@ -371,10 +378,7 @@ class TestEnumerateAndCorpus:
             '{"v":3,"chips":[2]},{"v":4,"chips":[7]},{"v":5,"chips":[5]},'
             '{"v":6,"chips":[3]},{"v":7,"chips":[1]}]}'
         )
-        body = "".join(line + "\n" for line in [mirrored, *lines[2:]])
-        header = json.loads(lines[0])
-        header["sha256"] = hashlib.sha256(body.encode()).hexdigest()
-        Path(corpus).write_text(json.dumps(header, separators=(",", ":")) + "\n" + body)
+        rewrite_body(corpus, [mirrored, *lines[2:]])
 
         code, out = run_cli(capsys, "check", "--input", corpus, "--property", "ballot")
         assert code == 1
@@ -389,15 +393,8 @@ class TestEnumerateAndCorpus:
     def test_config_outside_checker_domain_is_input_error(self, capsys, tmp_path):
         corpus = str(tmp_path / "odd.jsonl")
         run_cli(capsys, "enumerate", "--ell", "2", "--out", corpus)
-        lines = Path(corpus).read_text().splitlines()
         # stable and label-complete, but two chips share a vertex
-        crooked = (
-            '{"n_chips":3,"cells":[{"v":1,"chips":[2]},{"v":2,"chips":[1,3]}]}'
-        )
-        body = crooked + "\n"
-        header = json.loads(lines[0])
-        header["sha256"] = hashlib.sha256(body.encode()).hexdigest()
-        Path(corpus).write_text(json.dumps(header, separators=(",", ":")) + "\n" + body)
+        rewrite_body(corpus, ['{"n_chips":3,"cells":[{"v":1,"chips":[2]},{"v":2,"chips":[1,3]}]}'])
         code, _ = run_cli(capsys, "check", "--input", corpus, "--property", "extremes")
         assert code == 2
 
@@ -411,15 +408,42 @@ class TestEnumerateAndCorpus:
         assert "skip forbidden" in out
 
     @pytest.mark.parametrize("flag", ["--json", "--verbose"])
-    def test_literal_mode_prints_one_json_document(self, capsys, tmp_path, flag):
+    def test_json_prints_one_document_when_checks_fail(self, capsys, tmp_path, flag):
         # --json prints the report object alone: no skip, PASS or FAIL line comes before it
-        corpus = str(tmp_path / "z3.jsonl")
-        run_cli(capsys, "enumerate", "--ell", "3", "--out", corpus)
-        code, out = run_cli(capsys, "check", "--input", corpus, "--mode", "literal", flag, "--json")
+        corpus = str(tmp_path / "z2.jsonl")
+        run_cli(capsys, "enumerate", "--ell", "2", "--out", corpus)
+        # chip 1 on the root: anchors, extremes and zigzag fail, forbidden is skipped
+        line = '{"n_chips":3,"cells":[{"v":1,"chips":[1]},{"v":2,"chips":[2]},{"v":3,"chips":[3]}]}'
+        rewrite_body(corpus, [line])
+        code, out = run_cli(capsys, "check", "--input", corpus, flag, "--json")
         assert code == 1
         report = json.loads(out)
-        assert report["summary"]["penultimate"] == {"pass": 0, "fail": 6}
-        assert len(report["failures"]) == 12 and not report["all_pass"]
+        assert report["summary"]["anchors"] == {"pass": 0, "fail": 1}
+        assert report["summary"]["penultimate"] == {"pass": 1, "fail": 0}
+        assert len(report["failures"]) == 3 and not report["all_pass"]
+
+    @pytest.mark.parametrize(
+        "cells",
+        [
+            '[{"v":1,"chips":[2.0]},{"v":2,"chips":[true]},{"v":3,"chips":[3]}]',
+            '[{"v":1.0,"chips":[2]},{"v":2,"chips":[1]},{"v":3,"chips":[3]}]',
+            '[{"v":true,"chips":[2]},{"v":2,"chips":[1]},{"v":3,"chips":[3]}]',
+            '[{"v":1.5,"chips":[2]},{"v":2,"chips":[1]},{"v":3,"chips":[3]}]',
+        ],
+    )
+    def test_chips_and_vertices_that_are_not_integers_are_bad_records(
+        self, capsys, tmp_path, cells
+    ):
+        # 2.0 == 2 and True == 1, so the first three once passed as the ell-2 configuration
+        corpus = str(tmp_path / "z2.jsonl")
+        run_cli(capsys, "enumerate", "--ell", "2", "--out", corpus)
+        rewrite_body(corpus, [f'{{"n_chips":3,"cells":{cells}}}'])
+        with pytest.raises(enumeration.CorpusError, match="line 2: bad record"):
+            enumeration.load(corpus)
+        for argv in (["check"], ["extract-orders", "--depth", "2"]):
+            assert main([*argv, "--input", corpus]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "line 2: bad record" in captured.err
 
     def test_skipped_properties_are_absent_from_the_json_summary(self, capsys, tmp_path):
         corpus = str(tmp_path / "z2.jsonl")
@@ -968,7 +992,7 @@ def test_each_subcommand_keeps_its_options_in_order():
     helps = ["-h", "--help"]
     assert options == {
         "fires": [*helps, "--chips", "--json"],
-        "simulate": [*helps, "--chips", "--strategy", "--seed", "--labeled", "--policy", "--json"],
+        "simulate": [*helps, "--chips", "--strategy", "--seed", "--json"],
         "play": [*helps, "--chips", "--policy", "--seed", "--json"],
         "enumerate": [
             *helps,
@@ -985,7 +1009,7 @@ def test_each_subcommand_keeps_its_options_in_order():
             "--json",
         ],
         "extract-orders": [*helps, "--input", "--depth", "--json"],
-        "check": [*helps, "--input", "--property", "--mode", "--verbose", "--json"],
+        "check": [*helps, "--input", "--property", "--verbose", "--json"],
         "bounds": [*helps, "--ell", "--method", "--table", "--exact", "--sci", "--csv", "--json"],
         "sequence": [*helps, "--name", "--count", "--csv", "--json"],
     }

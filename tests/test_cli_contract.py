@@ -131,8 +131,12 @@ PINNED = [
     (2, "extract-orders --input Z3-ell-2 --depth 2"),
     (2, "check --input Z3-n_chips-1e20"),
     (2, "extract-orders --input Z3-n_chips-1e20 --depth 2"),
-    # a removed check mode: it agreed with strict on every configuration
+    # removed options: simulate's --labeled and --policy (play is the labeled game) and
+    # check's --mode (the penultimate property has one reading)
     (2, "check --input Z3 --mode lenient"),
+    (2, "check --input Z3 --mode literal"),
+    (2, "simulate --chips 5 --labeled"),
+    (2, "simulate --chips 5 --policy min-triple"),
 ]
 
 
@@ -167,7 +171,7 @@ def test_files_read_a_few_bytes_at_a_time_keep_their_exit_codes_and_messages(
     "argv,call",
     [
         ("fires --chips -5", lambda: unlabeled.profile(-5)),
-        ("simulate --chips 0 --labeled", lambda: labeled.initial_config(0)),
+        ("play --chips 0", lambda: labeled.initial_config(0)),
         ("play --chips -3", lambda: labeled.initial_config(-3)),
         ("sequence --name F --count 0", lambda: unlabeled.sequence("F", 0)),
         ("bounds --ell 3 --method zigzag", lambda: bounds.zigzag_bound(3)),
@@ -180,7 +184,7 @@ def test_usage_errors_print_the_library_message(argv, call):
     assert run(argv.split()) == (2, "", f"error: {info.value}\n")
 
 
-@pytest.mark.parametrize("game", ["simulate", "simulate --labeled", "play"])
+@pytest.mark.parametrize("game", ["simulate", "play"])
 def test_games_past_the_chip_bound_are_usage_errors(game):
     # far past the bound, where a game with no bound fails at once instead of playing
     chips = 99999999999999999999
@@ -252,7 +256,7 @@ simulate = concat(
     flag("--seed", integer(-3, 3)),
 )
 labeled_game = concat(
-    st.sampled_from([["simulate", "--labeled"], ["play"]]),
+    st.just(["play"]),
     required("--chips", integer(-5, 1023)),
     flag("--policy", st.sampled_from(labeled.POLICIES)),
     flag("--seed", integer(-3, 3)),
@@ -310,7 +314,6 @@ check = concat(
     st.just(["check"]),
     corpus_input,
     flag("--property", mostly(st.sampled_from([*checks.CHECKERS, "all"]), st.just("nope"))),
-    flag("--mode", st.sampled_from(checks.PENULTIMATE_MODES)),
     switch("--verbose"),
     switch("--json"),
 )

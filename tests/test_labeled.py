@@ -40,6 +40,10 @@ class TestConfig:
             labeled.LabeledConfig(n_chips=3, cells={1: [1, 2, 4]}).validate()
         with pytest.raises(ValueError):
             labeled.LabeledConfig(n_chips=3, cells={1: [2, 1, 3]}).validate()
+        # equal to ints, but not ints: bool subclasses int
+        for cells in ({1: [1, 2, 3.0]}, {1: [True, 2, 3]}, {1.0: [1, 2, 3]}, {True: [1, 2, 3]}):
+            with pytest.raises(ValueError):
+                labeled.LabeledConfig(n_chips=3, cells=cells).validate()
 
     def test_stability_threshold_is_two(self):
         assert labeled.LabeledConfig(n_chips=4, cells={1: [1, 2], 2: [3, 4]}).is_stable()

@@ -44,6 +44,8 @@ import tempfile
 from pathlib import Path
 
 ELL4 = "enumerate-ell4"
+# what the enumerate-ell4 workload runs, less its --out
+ELL4_ARGV = ["enumerate", "--ell", "4", "--workers", "2"]
 # the deep-games workloads: per game, the chipfire command line that plays it
 DEEP = {
     "play-deep": {
@@ -59,12 +61,21 @@ DEEP = {
 # what each game of a deep-games workload records
 DEEP_METRICS = ("wall_s", "rss_mb")
 
-# run in a fresh interpreter whose PYTHONPATH is the checkout's src/
-_ELL4_CHILD = """
+# The children below run in a fresh interpreter whose PYTHONPATH is the checkout's src/.
+# Their own peak RSS is VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a
+# child would report at least the peak of the process that started it.
+_PEAK_MB = """
+def peak_mb():
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("VmHWM:")) / 1024
+"""
+
+# one search: argv[1] is the corpus it writes, argv[2] the CLI arguments as JSON
+_ELL4_CHILD = _PEAK_MB + """
 import hashlib, json, resource, sys, time
 from chipfire import cli
 start = time.perf_counter()
-rc = cli.main(["enumerate", "--ell", "4", "--workers", "2", "--out", sys.argv[1], "--json"])
+rc = cli.main([*json.loads(sys.argv[2]), "--out", sys.argv[1], "--json"])
 wall = time.perf_counter() - start
 main = resource.getrusage(resource.RUSAGE_SELF)
 head, body = open(sys.argv[1], "rb").read().split(b"\\n", 1)
@@ -73,7 +84,7 @@ print(json.dumps({
     "metrics": {
         "wall_s": wall,
         "main_cpu_s": main.ru_utime + main.ru_stime,
-        "main_rss_mb": main.ru_maxrss / 1024,
+        "main_rss_mb": peak_mb(),
         "worker_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
     },
     "header": json.loads(head),
@@ -81,10 +92,8 @@ print(json.dumps({
 }))
 """
 
-# one game; stdout is hashed as it is written, so that the peak RSS is the CLI's own.
-# The peak is VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a child
-# reports at least the peak of the process that started it.
-_DEEP_CHILD = """
+# one game; stdout is hashed as it is written, so that the peak RSS is the CLI's own
+_DEEP_CHILD = _PEAK_MB + """
 import contextlib, hashlib, json, signal, sys, time
 from chipfire import cli
 class Cut(BaseException):
@@ -112,9 +121,7 @@ except Cut:
 finally:
     signal.setitimer(signal.ITIMER_REAL, 0)
 result["wall_s"] = min(time.perf_counter() - start, limit)
-with open("/proc/self/status") as status:
-    peak_kib = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
-result["rss_mb"] = peak_kib / 1024
+result["rss_mb"] = peak_mb()
 print(json.dumps(result))
 """
 
@@ -127,6 +134,7 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     if workload == ELL4:
         with tempfile.TemporaryDirectory() as tmp:
             argv = [sys.executable, "-c", _ELL4_CHILD, str(Path(tmp) / "z4.jsonl")]
+            argv.append(json.dumps(ELL4_ARGV))
             done = subprocess.run(argv, cwd=root, env=env, capture_output=True, text=True)
     else:
         argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
@@ -260,7 +268,7 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
     bench.setdefault("workloads", {})[args.workload] = {
         "command": {
-            ELL4: "enumerate --ell 4 --workers 2 --out F",
+            ELL4: " ".join([*ELL4_ARGV, "--out", "F"]),
             "play-deep": f"play --chips N --policy P --seed 0, stopped after {args.seconds:g} s",
             "simulate-deep": (
                 f"simulate --chips 1048575 --strategy S --seed 0, stopped after {args.seconds:g} s"
