@@ -5,11 +5,20 @@ shadow is one chip on each vertex of the first ell layers, and returns a
 CheckReport listing violations (with the witnessing vertices) instead of
 raising.  Handing a checker anything outside that domain is a usage
 error, not a failed check.
+
+What a checker reads of the tree depends on ell alone, so it comes from
+tables(ell), built once per ell; per configuration a checker only looks
+labels up and compares them.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from operator import itemgetter, lt
+from typing import NamedTuple
 
 from . import tree
 from .labeled import LabeledConfig
@@ -50,6 +59,140 @@ def min_layers_for(property_name: str) -> int:
     return {"anchors": 2, "penultimate": 2, "forbidden": 3}.get(property_name, 1)
 
 
+def _getter(keys) -> Callable:
+    """itemgetter(*keys), but returning a tuple for one key or none as well."""
+    keys = tuple(keys)
+    if len(keys) == 1:
+        (key,) = keys
+        return lambda items: (items[key],)
+    return itemgetter(*keys) if keys else lambda items: ()
+
+
+def _subtree(root: int, depth: int) -> Iterator[int]:
+    """The vertices of the `depth`-layer subtree under `root`, layer by layer."""
+    return (v for d in range(depth) for v in range(root << d, (root + 1) << d))
+
+
+class Order(NamedTuple):
+    """The chip at `at` is below (`smallest`) or above every chip at `others`.
+
+    `root` is the vertex the order belongs to: the subtree it speaks of, or
+    for a zigzag the path's start.
+    """
+
+    root: int
+    at: int
+    smallest: bool
+    others: tuple[int, ...]
+
+
+class OrderTable:
+    """The orders a property requires on the first ell layers, in report order.
+
+    `pairs` lists every (smaller vertex, larger vertex) pair the orders
+    require, once each; `tested` is the part of it that broken() tests.
+    """
+
+    def __init__(self, rows: Iterable[Order]):
+        self.rows = tuple(rows)
+        self.pairs = tuple(
+            sorted({(r.at, o) if r.smallest else (o, r.at) for r in self.rows for o in r.others})
+        )
+        # broken() tests only the pairs with no vertex between their two: the orders are
+        # acyclic (stable configurations meet them), so every other pair follows by transitivity
+        above, below = defaultdict(set), defaultdict(set)
+        for a, b in self.pairs:
+            above[a].add(b)
+            below[b].add(a)
+        self.tested = tuple((a, b) for a, b in self.pairs if above[a].isdisjoint(below[b]))
+        self._smaller = _getter(a for a, _ in self.tested)
+        self._larger = _getter(b for _, b in self.tested)
+
+    def broken(self, labels: list[int]) -> Iterator[tuple[Order, int, int]]:
+        """The orders `labels` break, each with the chip at `at` and the
+        smallest (or largest) chip at `others`."""
+        if all(map(lt, self._smaller(labels), self._larger(labels))):
+            return
+        for row in self.rows:
+            found = labels[row.at]
+            chips = map(labels.__getitem__, row.others)
+            want = min(chips) if row.smallest else max(chips)
+            if not (found < want if row.smallest else found > want):
+                yield row, found, want
+
+
+class Tables:
+    """What the checkers read of the first ell layers; each table is built on first use."""
+
+    def __init__(self, ell: int):
+        self.ell = ell
+
+    @cached_property
+    def cells(self) -> Callable:
+        """The cells of vertices 1..2^ell - 1 of a cells mapping, in vertex order."""
+        return _getter(range(1, 2**self.ell))
+
+    @cached_property
+    def anchors(self) -> list[tuple[int, int]]:
+        """(chip, vertex) pairs: chip 1 at the leftmost bottom vertex, chip N at
+        the rightmost, and from ell = 3 on chips 2 and N - 1 at their parents."""
+        ell, n = self.ell, 2**self.ell - 1
+        targets = [(1, 2 ** (ell - 1)), (n, 2**ell - 1)]
+        if ell >= 3:
+            targets += [(2, 2 ** (ell - 2)), (n - 1, 2 ** (ell - 1) - 1)]
+        return targets
+
+    @cached_property
+    def extremes(self) -> OrderTable:
+        """Each subtree's bottom-straight-left chip is its smallest and its
+        bottom-straight-right chip its largest."""
+        ell = self.ell
+        rows = []
+        for v in range(1, 2 ** (ell - 1)):  # a bottom vertex is its own subtree
+            subtree = tuple(_subtree(v, ell - tree.layer(v) + 1))
+            bl, br = tree.bottom_straight_left(v, ell), tree.bottom_straight_right(v, ell)
+            for at, smallest in ((bl, True), (br, False)):
+                rows.append(Order(v, at, smallest, tuple(u for u in subtree if u != at)))
+        return OrderTable(rows)
+
+    @cached_property
+    def zigzag(self) -> OrderTable:
+        """Consecutive chips along each maximal zigzag rise and fall alternately."""
+        rows = []
+        for v, first_move in _maximal_zigzag_starts(self.ell):
+            path = tree.zigzag_from(v, self.ell, first_move).vertices
+            ascending = path[0] % 2 == 0 or first_move == "right"
+            for a, b in zip(path, path[1:]):
+                rows.append(Order(v, a, ascending, (b,)))
+                ascending = not ascending
+        return OrderTable(rows)
+
+    @cached_property
+    def penultimate(self) -> OrderTable:
+        """Each chip on layer ell - 1 is the smallest (largest) chip above the
+        bottom layer in the subtree of each ancestor it is straight-left
+        (straight-right) of."""
+        ell = self.ell
+        rows = []
+        for v in range(2 ** (ell - 2), 2 ** (ell - 1)):
+            for smallest in (True, False):
+                for u in _straight_ancestors(v, smallest):
+                    above = _subtree(u, ell - tree.layer(u))
+                    rows.append(Order(u, v, smallest, tuple(x for x in above if x != v)))
+        return OrderTable(rows)
+
+    @cached_property
+    def forbidden(self) -> list[tuple[int, ...]]:
+        """The vertices of each bottom-anchored 3-layer subtree, its root first."""
+        return [tuple(_subtree(s, 3)) for s in range(2 ** (self.ell - 3), 2 ** (self.ell - 2))]
+
+
+@lru_cache(maxsize=4)
+def tables(ell: int) -> Tables:
+    """The checkers' tables for ell layers, shared by every configuration of that size."""
+    return Tables(ell)
+
+
 def _labels(config: LabeledConfig, property_name: str) -> tuple[list[int], int]:
     """The chip on each vertex, indexed by vertex (entry 0 unused), and ell.
 
@@ -61,22 +204,21 @@ def _labels(config: LabeledConfig, property_name: str) -> tuple[list[int], int]:
     ell = n.bit_length()
     if n != 2**ell - 1:
         raise ValueError(f"checkers need n_chips of the form 2^ell - 1, got {n}")
-    if not config.is_stable():
-        raise ValueError("checkers only accept stable configurations")
-    if len(config.cells) != n or any(len(config.cells.get(v, ())) != 1 for v in range(1, n + 1)):
+    cells = config.cells
+    labels = None
+    if len(cells) == n:  # so that the tables are sized by cells that exist
+        try:
+            labels = [0, *[chip for (chip,) in tables(ell).cells(cells)]]
+        except (KeyError, ValueError):  # a vertex without exactly one chip
+            pass
+    if labels is None:  # one chip on each vertex is stable: only now can stability fail
+        if not config.is_stable():
+            raise ValueError("checkers only accept stable configurations")
         raise ValueError("configuration is not one chip on each vertex of the first layers")
     needed = min_layers_for(property_name)
     if ell < needed:
         raise ValueError(f"{property_name} check needs at least {needed} layers")
-    return [0] + [config.cells[v][0] for v in range(1, n + 1)], ell
-
-
-def _subtree_sorted(labels: list[int], ell: int) -> list[list[int]]:
-    """Per vertex, the ascending chips of its subtree within the first ell layers."""
-    sub = [[labels[v]] for v in range(2**ell)]
-    for v in range(2 ** (ell - 1) - 1, 0, -1):
-        sub[v] = sorted(sub[v] + sub[2 * v] + sub[2 * v + 1])
-    return sub
+    return labels, ell
 
 
 def check_anchors(config: LabeledConfig) -> CheckReport:
@@ -87,14 +229,10 @@ def check_anchors(config: LabeledConfig) -> CheckReport:
     N - 1 at the parent of chip N's vertex.
     """
     labels, ell = _labels(config, "anchors")
-    n = config.n_chips
     report = CheckReport("anchors")
-    targets = [(1, 2 ** (ell - 1)), (n, 2**ell - 1)]
-    if ell >= 3:
-        targets += [(2, 2 ** (ell - 2)), (n - 1, 2 ** (ell - 1) - 1)]
-    for chip, want in targets:
-        got = labels.index(chip)
-        if got != want:
+    for chip, want in tables(ell).anchors:
+        if labels[want] != chip:
+            got = labels.index(chip)
             report.add(want, f"chip {chip} expected at vertex {want}, found at vertex {got}")
     return report
 
@@ -103,14 +241,10 @@ def check_subtree_extremes(config: LabeledConfig) -> CheckReport:
     """Each subtree keeps its smallest chip bottom-straight-left and its
     largest bottom-straight-right."""
     labels, ell = _labels(config, "extremes")
-    sub = _subtree_sorted(labels, ell)
     report = CheckReport("extremes")
-    for v in range(1, 2**ell):
-        bl, br = tree.bottom_straight_left(v, ell), tree.bottom_straight_right(v, ell)
-        for at, word, end in ((bl, "minimum", 0), (br, "maximum", -1)):
-            found, want = labels[at], sub[v][end]
-            if found != want:
-                report.add(v, f"subtree {word} {want} is not at vertex {at} (found chip {found})")
+    for (v, at, smallest, _), found, want in tables(ell).extremes.broken(labels):
+        word = "minimum" if smallest else "maximum"
+        report.add(v, f"subtree {word} {want} is not at vertex {at} (found chip {found})")
     return report
 
 
@@ -135,15 +269,9 @@ def check_zigzag_alternation(config: LabeledConfig) -> CheckReport:
     """
     labels, ell = _labels(config, "zigzag")
     report = CheckReport("zigzag")
-    for v, first_move in _maximal_zigzag_starts(ell):
-        path = tree.zigzag_from(v, ell, first_move).vertices
-        ascending = path[0] % 2 == 0 or first_move == "right"
-        for a, b in zip(path, path[1:]):
-            ca, cb = labels[a], labels[b]
-            if not (ca < cb if ascending else ca > cb):
-                rel = "<" if ascending else ">"
-                report.add(a, f"expected chip {ca} at {a} {rel} chip {cb} at {b}")
-            ascending = not ascending
+    for (_, a, ascending, (b,)), ca, cb in tables(ell).zigzag.broken(labels):
+        rel = "<" if ascending else ">"
+        report.add(a, f"expected chip {ca} at {a} {rel} chip {cb} at {b}")
     return report
 
 
@@ -168,17 +296,14 @@ def check_penultimate(config: LabeledConfig) -> CheckReport:
     the only chip of v's subtree above the bottom layer.
     """
     labels, ell = _labels(config, "penultimate")
-    sub = _subtree_sorted(labels, ell - 1)  # bottom layer excluded
     report = CheckReport("penultimate")
-    for v in range(2 ** (ell - 2), 2 ** (ell - 1)):
-        for left, word, end in ((True, "smallest", 0), (False, "largest", -1)):
-            for u in _straight_ancestors(v, left):
-                if labels[v] != sub[u][end]:
-                    report.add(
-                        v,
-                        f"chip {labels[v]} at vertex {v} is not the {word} "
-                        f"above the bottom layer in the subtree at {u} (that is {sub[u][end]})",
-                    )
+    for (u, v, smallest, _), found, want in tables(ell).penultimate.broken(labels):
+        word = "smallest" if smallest else "largest"
+        report.add(
+            v,
+            f"chip {found} at vertex {v} is not the {word} "
+            f"above the bottom layer in the subtree at {u} (that is {want})",
+        )
     return report
 
 
@@ -190,18 +315,21 @@ def check_ballot(config: LabeledConfig) -> CheckReport:
     the right child's subtree, for all i.
     """
     labels, ell = _labels(config, "ballot")
-    sub = _subtree_sorted(labels, ell)
+    # per vertex, the ascending chips of its subtree, built bottom-up
+    sub = list(map(list, zip(labels)))
+    for v in range(2 ** (ell - 1) - 1, 0, -1):
+        sub[v] = sorted(sub[v] + sub[2 * v] + sub[2 * v + 1])
     report = CheckReport("ballot")
     for v in range(1, 2 ** (ell - 1)):
         left, right = sub[2 * v], sub[2 * v + 1]
-        for i, (a, b) in enumerate(zip(left, right)):
-            if a >= b:
-                report.add(
-                    v,
-                    f"rank {i + 1} chip of left subtree at {2 * v} is {a}, "
-                    f"not below {b} on the right at {2 * v + 1}",
-                )
-                break
+        below = list(map(lt, left, right))
+        if False in below:
+            i = below.index(False)
+            report.add(
+                v,
+                f"rank {i + 1} chip of left subtree at {2 * v} is {left[i]}, "
+                f"not below {right[i]} on the right at {2 * v + 1}",
+            )
     return report
 
 
@@ -214,8 +342,8 @@ def check_forbidden_order(config: LabeledConfig) -> CheckReport:
     """
     labels, ell = _labels(config, "forbidden")
     report = CheckReport("forbidden")
-    for s in range(2 ** (ell - 3), 2 ** (ell - 2)):
-        vertices = [s, 2 * s, 2 * s + 1] + [4 * s + i for i in range(4)]
+    for vertices in tables(ell).forbidden:
+        s = vertices[0]
         ranked = sorted(vertices, key=labels.__getitem__)
         lo, lo2, hi2, hi = ranked[0], ranked[1], ranked[-2], ranked[-1]
         lo_ok = lo != s and lo >> 1 == lo2
@@ -230,6 +358,15 @@ def check_forbidden_order(config: LabeledConfig) -> CheckReport:
     return report
 
 
+@lru_cache(maxsize=1024)
+def _key_table(root: int, depth: int) -> tuple[Callable, str, tuple[str, ...]]:
+    """For relative_order_key: the getter of the subtree's cells, the key's
+    format with one field per vertex, and the ranks as text."""
+    vertices = tuple(_subtree(root, depth))
+    layout = ";".join(",".join(["{}"] * 2**d) for d in range(depth))
+    return _getter(vertices), layout, tuple(map(str, range(1, len(vertices) + 1)))
+
+
 def relative_order_key(config: LabeledConfig, subtree_root: int, depth: int) -> str:
     """Canonical signature of the relative chip order on a subtree.
 
@@ -240,15 +377,20 @@ def relative_order_key(config: LabeledConfig, subtree_root: int, depth: int) -> 
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    levels: list[list[int]] = []
-    for d in range(depth):
-        row = [subtree_root * 2**d + i for i in range(2**d)]
-        for v in row:
-            if len(config.cells.get(v, [])) != 1:
-                raise ValueError(f"subtree at {subtree_root} is not fully occupied at vertex {v}")
-        levels.append([config.cells[v][0] for v in row])
-    rank = {lab: i + 1 for i, lab in enumerate(sorted(x for row in levels for x in row))}
-    return ";".join(",".join(str(rank[x]) for x in row) for row in levels)
+    cells = config.cells
+    chips = None
+    # the subtree has 2^depth - 1 vertices: a depth no configuration can fill must not size a table
+    if depth < (len(cells) + 1).bit_length():
+        cells_at, layout, ranks = _key_table(subtree_root, depth)
+        try:
+            chips = [chip for (chip,) in cells_at(cells)]
+        except (KeyError, ValueError):  # a vertex without exactly one chip
+            pass
+    if chips is None:
+        v = next(v for v in _subtree(subtree_root, depth) if len(cells.get(v, ())) != 1)
+        raise ValueError(f"subtree at {subtree_root} is not fully occupied at vertex {v}")
+    rank = dict(zip(sorted(chips), ranks))
+    return layout.format(*map(rank.__getitem__, chips))
 
 
 CHECKERS = {

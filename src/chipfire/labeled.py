@@ -47,6 +47,8 @@ class LabeledConfig:
         for v, labels in self.cells.items():
             if type(v) is not int or v < 1:
                 raise ValueError(f"bad vertex {v!r}")
+            if not labels:  # a vertex without chips is absent
+                raise ValueError(f"vertex {v} holds no chips")
             if labels != sorted(labels):
                 raise ValueError(f"labels at vertex {v} are not ascending: {labels}")
             seen.extend(labels)

@@ -6,6 +6,9 @@ import hashlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -157,3 +160,44 @@ def test_an_ell4_run_records_its_own_peak_rss_not_its_caller_s(monkeypatch):
     del ballast
     assert (run["correct"], run["header"]["count"]) == (True, 1)
     assert 0 < run["metrics"]["main_rss_mb"] < 64
+
+
+def test_a_check_deep_run_times_each_command_over_the_corpus_its_side_built(
+    monkeypatch, tmp_path
+):
+    # 20 games at N = 15 stand in for 1,000 at N = 127
+    monkeypatch.setattr(bench_pairs, "CHECK_DEEP_CORPUS", (15, 20))
+    root, out = _PATH.parents[1], tmp_path / "bench.json"
+    argv = ["--parent", str(root), "--change", str(root), "--workload", "check-deep"]
+    argv += ["--pairs", "1", "--seed", "3", "--out", str(out)]
+    assert bench_pairs.main(argv) == 0
+
+    workload = json.loads(out.read_text())["workloads"]["check-deep"]
+    assert list(workload["summary"]) == [
+        "wall_s.check", "wall_s.extract-orders", "rss_mb.check", "rss_mb.extract-orders"
+    ]
+    # the corpus seed 3's set-up builds, and what each command prints over it
+    corpus = tmp_path / "corpus.jsonl"
+    setup = [sys.executable, "-c", bench_pairs._CHECK_DEEP_SETUP, "3", str(corpus), "15", "20"]
+    subprocess.run(setup, env={**os.environ, "PYTHONPATH": str(root / "src")}, check=True)
+    printed = {}
+    for name, command in bench_pairs.CHECK_DEEP_ARGV.items():
+        with contextlib.redirect_stdout(io.StringIO()) as text:
+            assert cli.main([*command, "--input", str(corpus)]) == 0
+        printed[name] = hashlib.sha256(text.getvalue().encode()).hexdigest()
+    for run in workload["runs"]:
+        assert (run["correct"], run["cut"]) == (True, [])
+        assert run["inputs_sha256"] == hashlib.sha256(corpus.read_bytes()).hexdigest()
+        assert run["stdout_sha256"] == printed
+
+
+def test_a_check_deep_pair_is_compared_on_its_corpus_and_on_each_stdout():
+    def run(pair, side, inputs="c211", check="4323"):
+        stdout = {"check": check, "extract-orders": "e16f"}
+        return {"pair": pair, "side": side, "correct": True, "inputs_sha256": inputs,
+                "stdout_sha256": stdout}
+
+    runs = [run(0, "parent"), run(0, "change"), run(1, "parent"), run(1, "change", check="0ddb")]
+    runs += [run(2, "parent"), run(2, "change", inputs="4a39")]
+    bench_pairs.mark_disagreements(runs)
+    assert [run["correct"] for run in runs] == [True, True, False, False, False, False]

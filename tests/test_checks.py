@@ -222,10 +222,10 @@ def _pinned_corpus():
     return configs
 
 
-def test_every_report_is_pinned():
-    """Each checker's report (or refusal) on every pinned configuration, hashed."""
+def _reports(configs):
+    """Each checker's report (or refusal) on each configuration, as JSON lists."""
     results = []
-    for config in _pinned_corpus():
+    for config in configs:
         for name, checker in checks.CHECKERS.items():
             try:
                 report = checker(config)
@@ -234,6 +234,63 @@ def test_every_report_is_pinned():
             else:
                 found = [[v.vertex, v.detail] for v in report.violations]
                 results.append([name, report.passed, found])
-    digest = hashlib.sha256(json.dumps(results).encode()).hexdigest()
+    return results
+
+
+def _digest(results):
+    return hashlib.sha256(json.dumps(results).encode()).hexdigest()
+
+
+def test_every_report_is_pinned():
+    """Each checker's report (or refusal) on every pinned configuration, hashed."""
+    results = _reports(_pinned_corpus())
     assert len(results) == 5444 * 6
-    assert digest == "f7d33ec9303a00bf86af128c8286e98110aef3d33b78603705cc7571cdb415da"
+    assert _digest(results) == "f7d33ec9303a00bf86af128c8286e98110aef3d33b78603705cc7571cdb415da"
+
+
+def _deep_corpus():
+    """200 seeded ell-5 labelings and 100 ell-6 ones, where every checker fails
+    often, and 50 random-play games each at ell = 5 and 6 with two chips
+    swapped, where a checker fails at a few vertices or not at all."""
+    rng = random.Random(2856)
+    configs = []
+    for n, count in ((31, 200), (63, 100)):
+        for _ in range(count):
+            labels = rng.sample(range(1, n + 1), n)
+            configs.append(single_chip_config(dict(zip(range(1, n + 1), labels))))
+    for n in (31, 63):
+        for seed in range(50):
+            game = labeled.run_policy(n, "random", seed=seed)
+            placement = {v: chips[0] for v, chips in game.cells.items()}
+            a, b = rng.sample(range(1, n + 1), 2)
+            placement[a], placement[b] = placement[b], placement[a]
+            configs.append(single_chip_config(placement))
+    return configs
+
+
+def test_every_deep_report_is_pinned():
+    """The same digest at ell = 5 and 6, where the pinned corpus above fails nothing."""
+    results = _reports(_deep_corpus())
+    assert len(results) == 400 * 6
+    for name in checks.CHECKERS:
+        outcomes = {r[1] for r in results if r[0] == name}
+        assert outcomes == {True, False}, name
+    assert _digest(results) == "20bbb15f5387be6faa86457b95b76360a6de81aac14840d1d98c8bbcf9204702"
+
+
+@pytest.mark.parametrize("name", ["extremes", "zigzag", "penultimate"])
+def test_the_pairs_an_order_table_tests_imply_all_its_pairs(name):
+    """A labeling meeting the tested pairs passes unread: each pair must follow from them."""
+    for ell in range(checks.min_layers_for(name), 8):
+        table = getattr(checks.tables(ell), name)
+        above = {}
+        for a, b in table.tested:
+            above.setdefault(a, []).append(b)
+        for a in {a for a, _ in table.pairs}:
+            reached, todo = set(), [a]
+            while todo:
+                for b in above.get(todo.pop(), ()):
+                    if b not in reached:
+                        reached.add(b)
+                        todo.append(b)
+            assert {b for x, b in table.pairs if x == a} <= reached, (ell, a)

@@ -398,6 +398,27 @@ class TestEnumerateAndCorpus:
         code, _ = run_cli(capsys, "check", "--input", corpus, "--property", "extremes")
         assert code == 2
 
+    def test_extraction_reads_subtrees_the_checkers_refuse(self, capsys, tmp_path):
+        corpus = str(tmp_path / "z3.jsonl")
+        run_cli(capsys, "enumerate", "--ell", "3", "--out", corpus)
+        # the worked 7-chip configuration with chip 4 moved from the root to vertex 8:
+        # the bottom-anchored 2-layer subtrees stay whole, the first 3 layers do not
+        line = (
+            '{"n_chips":7,"cells":[{"v":2,"chips":[2]},{"v":3,"chips":[6]},'
+            '{"v":4,"chips":[1]},{"v":5,"chips":[3]},{"v":6,"chips":[5]},'
+            '{"v":7,"chips":[7]},{"v":8,"chips":[4]}]}'
+        )
+        rewrite_body(corpus, [line])
+        code, out = run_cli(capsys, "extract-orders", "--input", corpus, "--depth", "2")
+        assert (code, out) == (0, "orders 1\n2;1,3\n")
+        assert main(["check", "--input", corpus]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: config 0 is outside the checkers' domain: "
+            "configuration is not one chip on each vertex of the first layers\n"
+        )
+
     def test_check_on_too_small_corpus(self, capsys, tmp_path):
         corpus = str(tmp_path / "z2.jsonl")
         run_cli(capsys, "enumerate", "--ell", "2", "--out", corpus)
@@ -429,12 +450,14 @@ class TestEnumerateAndCorpus:
             '[{"v":1.0,"chips":[2]},{"v":2,"chips":[1]},{"v":3,"chips":[3]}]',
             '[{"v":true,"chips":[2]},{"v":2,"chips":[1]},{"v":3,"chips":[3]}]',
             '[{"v":1.5,"chips":[2]},{"v":2,"chips":[1]},{"v":3,"chips":[3]}]',
+            '[{"v":1,"chips":[2]},{"v":2,"chips":[1]},{"v":3,"chips":[3]},{"v":9,"chips":[]}]',
         ],
     )
     def test_chips_and_vertices_that_are_not_integers_are_bad_records(
         self, capsys, tmp_path, cells
     ):
-        # 2.0 == 2 and True == 1, so the first three once passed as the ell-2 configuration
+        # 2.0 == 2 and True == 1, so the first three once passed as the ell-2 configuration;
+        # the last, with an empty chip list, loaded too
         corpus = str(tmp_path / "z2.jsonl")
         run_cli(capsys, "enumerate", "--ell", "2", "--out", corpus)
         rewrite_body(corpus, [f'{{"n_chips":3,"cells":{cells}}}'])

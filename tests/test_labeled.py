@@ -44,6 +44,9 @@ class TestConfig:
         for cells in ({1: [1, 2, 3.0]}, {1: [True, 2, 3]}, {1.0: [1, 2, 3]}, {True: [1, 2, 3]}):
             with pytest.raises(ValueError):
                 labeled.LabeledConfig(n_chips=3, cells=cells).validate()
+        # a vertex without chips is absent, never an empty list
+        with pytest.raises(ValueError, match="vertex 9 holds no chips"):
+            labeled.LabeledConfig(n_chips=3, cells={1: [1, 2, 3], 9: []}).validate()
 
     def test_stability_threshold_is_two(self):
         assert labeled.LabeledConfig(n_chips=4, cells={1: [1, 2], 2: [3, 4]}).is_stable()

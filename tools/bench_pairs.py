@@ -22,9 +22,13 @@ wall time as ``wall_s.<game>``, its peak RSS as ``rss_mb.<game>`` and the
 sha256 of its stdout; both runs of a pair are marked not correct when a game
 that both sides finished printed different stdout.  A game still running
 after --seconds is stopped and counted at --seconds, a lower bound on its
-time.  A corpus run also records the sha256 of the corpus its seed's set-up
-builds, and both runs of a pair are marked not correct when the two sides
-built different corpora.
+time.  The extra workload ``check-deep`` has each checkout build, with its
+own code, a corpus of 1,000 ``random``-policy games at N = 127 (7 layers,
+seeded by S+i), then runs ``chipfire check --property all`` and
+``chipfire extract-orders --depth 3`` over it as the games above are run.
+A corpus or check-deep run also records the sha256 of the corpus its seed's
+set-up builds, and both runs of a pair are marked not correct when the two
+sides built different corpora.
 
 The workload's runs, and per metric each side's median and quartiles, the
 ratio of the medians and the pairs the change won, are stored under the
@@ -60,6 +64,13 @@ DEEP = {
 }
 # what each game of a deep-games workload records
 DEEP_METRICS = ("wall_s", "rss_mb")
+CHECK_DEEP = "check-deep"
+# its corpus: (chips per game, games), and the commands it times, less their --input
+CHECK_DEEP_CORPUS = (127, 1000)
+CHECK_DEEP_ARGV = {
+    "check": ["check", "--property", "all"],
+    "extract-orders": ["extract-orders", "--depth", "3"],
+}
 
 # The children below run in a fresh interpreter whose PYTHONPATH is the checkout's src/.
 # Their own peak RSS is VmHWM, not ru_maxrss: Linux carries ru_maxrss across exec, so a
@@ -126,11 +137,29 @@ print(json.dumps(result))
 """
 
 
+# one check-deep corpus: argv[1] is the seed, argv[2] the corpus it writes, argv[3] the
+# chips per game and argv[4] the games; it prints the corpus's sha256
+_CHECK_DEEP_SETUP = """
+import hashlib, json, sys
+from chipfire import enumeration, labeled
+seed, out, n_chips, games = int(sys.argv[1]), sys.argv[2], int(sys.argv[3]), int(sys.argv[4])
+configs = {}
+for i in range(games):
+    config = labeled.run_policy(n_chips, "random", seed=seed * 1_000_000 + i)
+    configs[config.canonical_json()] = config
+ell = n_chips.bit_length()
+enumeration.save(enumeration.StableSet(ell, list(configs.values()), {"mode": "random-play"}), out)
+print(json.dumps({"inputs_sha256": hashlib.sha256(open(out, "rb").read()).hexdigest()}))
+"""
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     """One run in one checkout: its result line, plus the machine line if any."""
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
     if workload in DEEP:
-        return run_games(root, env, workload, seconds)
+        return run_games(root, env, DEEP[workload], seconds)
+    if workload == CHECK_DEEP:
+        return run_check_deep(root, env, seed, seconds)
     if workload == ELL4:
         with tempfile.TemporaryDirectory() as tmp:
             argv = [sys.executable, "-c", _ELL4_CHILD, str(Path(tmp) / "z4.jsonl")]
@@ -153,14 +182,14 @@ def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     return result
 
 
-def run_games(root: Path, env: dict, workload: str, seconds: float) -> dict:
-    """One run of a deep-games workload: each game in a child process of its own, so
-    that its peak RSS is that game's alone."""
+def run_games(root: Path, env: dict, games: dict[str, list[str]], seconds: float) -> dict:
+    """One run of `games`, each the chipfire command line of one game, each in a child
+    process of its own, so that its peak RSS is that game's alone."""
     result = {"correct": True, "metrics": {}, "cut": [], "stdout_sha256": {}}
-    for game, argv in DEEP[workload].items():
+    for game, argv in games.items():
         child = [sys.executable, "-c", _DEEP_CHILD, str(seconds), json.dumps(argv)]
         done = subprocess.run(child, cwd=root, env=env, capture_output=True, text=True)
-        played = _last_line(root, workload, done)
+        played = _last_line(root, game, done)
         result["correct"] &= played["correct"]
         result["metrics"].update({f"{m}.{game}": played[m] for m in DEEP_METRICS})
         if "stdout_sha256" in played:
@@ -168,6 +197,21 @@ def run_games(root: Path, env: dict, workload: str, seconds: float) -> dict:
         else:
             result["cut"].append(game)
     return result
+
+
+def run_check_deep(root: Path, env: dict, seed: int, seconds: float) -> dict:
+    """One run of check-deep: the checkout's own code builds the seed's corpus, then
+    each command runs over it as a game."""
+    n_chips, games = CHECK_DEEP_CORPUS
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = str(Path(tmp) / "corpus.jsonl")
+        setup = [sys.executable, "-c", _CHECK_DEEP_SETUP, str(seed), corpus]
+        done = subprocess.run(
+            [*setup, str(n_chips), str(games)], cwd=root, env=env, capture_output=True, text=True
+        )
+        inputs = _last_line(root, CHECK_DEEP, done)
+        commands = {name: [*argv, "--input", corpus] for name, argv in CHECK_DEEP_ARGV.items()}
+        return {**run_games(root, env, commands, seconds), **inputs}
 
 
 def _last_line(root: Path, workload: str, done: subprocess.CompletedProcess) -> dict:
@@ -179,20 +223,22 @@ def _last_line(root: Path, workload: str, done: subprocess.CompletedProcess) -> 
 
 def _answers(run: dict) -> dict:
     """What a run made, by name: its corpus for enumerate-ell4, its inputs for
-    corpus, each game's stdout for a deep-games workload, else nothing."""
+    corpus and check-deep, each game's stdout for a deep-games workload and
+    check-deep."""
     if "header" in run:
         counts = map(run["header"].get, ("count", "explored_states", "max_frontier"))
         return {"corpus": (run["body_sha256"], *counts)}
+    answers = dict(run.get("stdout_sha256", {}))
     if "inputs_sha256" in run:
-        return {"inputs": run["inputs_sha256"]}
-    return run.get("stdout_sha256", {})
+        answers["inputs"] = run["inputs_sha256"]
+    return answers
 
 
 def mark_disagreements(runs: list[dict]) -> None:
     """Mark both runs of a pair not correct when they made different answers:
     for enumerate-ell4 a corpus that differs in body sha256, count, explored_states
-    or max_frontier; for corpus the set-up's inputs; for a deep-games workload a
-    game's stdout, where both sides finished the game."""
+    or max_frontier; for corpus and check-deep the set-up's inputs; for a deep-games
+    workload and check-deep a game's stdout, where both sides finished the game."""
     pairs: dict[int, list[dict]] = {}
     for run in runs:
         pairs.setdefault(run["pair"], []).append(_answers(run))
@@ -244,8 +290,9 @@ def main(argv: list[str] | None = None) -> int:
             "main_rss_mb": "lower",
             "worker_rss_mb": "lower",
         }
-    elif args.workload in DEEP:
-        better = {f"{m}.{game}": "lower" for m in DEEP_METRICS for game in DEEP[args.workload]}
+    elif args.workload in DEEP or args.workload == CHECK_DEEP:
+        games = DEEP.get(args.workload, CHECK_DEEP_ARGV)
+        better = {f"{m}.{game}": "lower" for m in DEEP_METRICS for game in games}
     else:
         spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
@@ -273,6 +320,10 @@ def main(argv: list[str] | None = None) -> int:
             "simulate-deep": (
                 f"simulate --chips 1048575 --strategy S --seed 0, stopped after {args.seconds:g} s"
             ),
+            CHECK_DEEP: (
+                "check --property all and extract-orders --depth 3 over {1:,} random-policy "
+                "games at N = {0:,}, stopped after {2:g} s"
+            ).format(*CHECK_DEEP_CORPUS, args.seconds),
         }.get(
             args.workload,
             f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0",
