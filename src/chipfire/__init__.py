@@ -32,6 +32,7 @@ from .enumeration import (
     enumerate_stable,
     extract_subtree_orders,
     load,
+    read_corpus,
     save,
 )
 from .labeled import LabeledConfig, fire, initial_config, run_policy, run_policy_traced

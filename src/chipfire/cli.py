@@ -14,11 +14,17 @@ main() turns any ValueError it raises (CorpusError is one) into a single
 ends the run in exit 2 without a traceback, with one `error: cannot write
 <stream>: <reason>` line if stderr can still take it; a stream closed
 before the start receives nothing.
+
+`check` and `extract-orders` take each configuration as the corpus reader
+hands it over and keep only what they print.  A fault of theirs waits
+until the reader has read the whole file, so a fault in the file wins, and
+neither prints anything before the file has been read to its end.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import contextlib
 import json
 import os
@@ -270,14 +276,26 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+@contextlib.contextmanager
+def _file_faults_first(configs):
+    """Hold a command's fault back until the corpus behind `configs` has been read
+    to its end: a fault in the file, which the reader raises there, wins."""
+    try:
+        yield
+    except ValueError:
+        collections.deque(configs, maxlen=0)  # the rest of the file, read and dropped
+        raise
+
+
 def cmd_extract_orders(args) -> int:
-    stable_set = enumeration.load(args.input)
-    orders = sorted(enumeration.extract_subtree_orders(stable_set, args.depth))
+    header, configs = enumeration.read_corpus(args.input)
+    with _file_faults_first(configs):
+        orders = sorted(enumeration.extract_subtree_orders(configs, header["ell"], args.depth))
     if args.json:
         print(
             _dump(
                 {
-                    "ell": stable_set.ell,
+                    "ell": header["ell"],
                     "depth": args.depth,
                     "count": len(orders),
                     "orders": orders,
@@ -292,43 +310,48 @@ def cmd_extract_orders(args) -> int:
 
 
 def cmd_check(args) -> int:
-    stable_set = enumeration.load(args.input)
-    ell = stable_set.ell
+    header, configs = enumeration.read_corpus(args.input)
+    ell = header["ell"]
 
     # the text report; under --json only the JSON object is printed
     lines = []
     checkers = {}
-    for name in checks.CHECKERS if args.property == "all" else [args.property]:
-        needed = checks.min_layers_for(name)
-        if ell < needed:
-            if args.property != "all":
-                return _fail(f"property {name} needs at least {needed} layers, corpus has {ell}")
-            lines.append(f"skip {name}: needs at least {needed} layers, corpus has {ell}")
-        else:
-            checkers[name] = checks.CHECKERS[name]
-
-    summary = {name: {"pass": 0, "fail": 0} for name in checkers}
     failures = []
-    for index, config in enumerate(stable_set.configs):
-        for name, checker in checkers.items():
-            try:
-                report = checker(config)
-            except ValueError as exc:
-                return _fail(f"config {index} is outside the checkers' domain: {exc}")
-            summary[name]["pass" if report.passed else "fail"] += 1
-            if report.passed and args.verbose:
-                lines.append(f"config {index} {name} PASS")
-            for violation in report.violations:
-                failures.append({"config": index, "property": name, **asdict(violation)})
-                lines.append(
-                    f"config {index} {name} FAIL vertex {violation.vertex}: {violation.detail}"
-                )
+    with _file_faults_first(configs):
+        for name in checks.CHECKERS if args.property == "all" else [args.property]:
+            needed = checks.min_layers_for(name)
+            if ell < needed:
+                if args.property != "all":
+                    raise ValueError(
+                        f"property {name} needs at least {needed} layers, corpus has {ell}"
+                    )
+                lines.append(f"skip {name}: needs at least {needed} layers, corpus has {ell}")
+            else:
+                checkers[name] = checks.CHECKERS[name]
+
+        summary = {name: {"pass": 0, "fail": 0} for name in checkers}
+        for index, config in enumerate(configs):
+            for name, checker in checkers.items():
+                try:
+                    report = checker(config)
+                except ValueError as exc:
+                    raise ValueError(
+                        f"config {index} is outside the checkers' domain: {exc}"
+                    ) from exc
+                summary[name]["pass" if report.passed else "fail"] += 1
+                if report.passed and args.verbose:
+                    lines.append(f"config {index} {name} PASS")
+                for violation in report.violations:
+                    failures.append({"config": index, "property": name, **asdict(violation)})
+                    lines.append(
+                        f"config {index} {name} FAIL vertex {violation.vertex}: {violation.detail}"
+                    )
     all_pass = not failures
     if args.json:
         result = {
             "input": args.input,
             "ell": ell,
-            "configs": stable_set.count,
+            "configs": header["count"],  # the reader has matched the body against it
             "summary": summary,
             "failures": failures,
             "all_pass": all_pass,

@@ -65,7 +65,8 @@ time; no file is held whole.  A write holds its sorted records and one
 chunk of lines; a read hashes and counts each batch of lines as it parses
 them, raises a wrong count, checksum or record only after the body has
 ended, and holds little beyond what it returns: a checkpoint's ints join
-their shadow's group as their batch is read.
+their shadow's group as their batch is read, and a corpus's configurations
+are handed to the caller one at a time.
 """
 
 from __future__ import annotations
@@ -79,9 +80,7 @@ import json
 import math
 import operator
 import os
-import pickle
 import time
-from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator
 
@@ -97,6 +96,7 @@ __all__ = [
     "extract_subtree_orders",
     "save",
     "load",
+    "read_corpus",
     "write_checkpoint",
     "read_checkpoint",
 ]
@@ -330,6 +330,8 @@ def _expand_pickled(args: tuple[bytes, Collection[int], str, int]) -> dict[bytes
     at once, most of them states that another batch already produced, and
     the main process's heap would stay that much larger after they are freed.
     """
+    import pickle
+
     pickled: dict[bytes, list[bytes]] = {}
     for child, group in _expand_batch(args).items():
         states, chunks = iter(group), []
@@ -368,6 +370,8 @@ def _expand_level(frontier: dict, mode: str, depth: int, pool, workers: int) -> 
     """The level after `frontier`, at `depth`: sorted lists from `pool`, sets if it is None."""
     next_frontier: dict[bytes, Collection[int]] = {}
     if pool is not None:
+        import pickle
+
         # every group is a sorted list here; neighbours in order share
         # their low-label chips and many successors, so contiguous batches
         # dedup those in the worker
@@ -461,7 +465,12 @@ def enumerate_stable(
         checkpoint()
         return EnumerationPaused(reason, checkpoint_path, depth, size)
 
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool, broken = None, ()  # except () catches nothing
+    if workers > 1:
+        # only a pooled search imports the pool, and with it multiprocessing and pickle
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
+        pool, broken = ProcessPoolExecutor(max_workers=workers), BrokenProcessPool
     with pool or contextlib.nullcontext():
         try:
             for depth in range(depth, target_depth + 1):
@@ -490,7 +499,7 @@ def enumerate_stable(
                 raise AssertionError("search ran past the fixed stabilization depth")
         except MemoryError:
             raise pause("out of memory") from None
-        except BrokenProcessPool:
+        except broken:
             raise pause("a worker process ended abruptly") from None
         except AssertionError as exc:
             if resume_path is None:
@@ -511,21 +520,21 @@ def enumerate_stable(
     return result
 
 
-def extract_subtree_orders(stable_set: StableSet, depth: int) -> set[str]:
+def extract_subtree_orders(configs: Iterable[LabeledConfig], ell: int, depth: int) -> set[str]:
     """Distinct relative orders on bottom-anchored subtrees of `depth` layers.
 
-    Scans, in every configuration, each subtree whose root sits on layer
-    ell - depth + 1 (so its bottom coincides with the tree's bottom layer)
-    and collects the canonical order signatures.
+    Scans, in every configuration of `ell` layers, each subtree whose root
+    sits on layer ell - depth + 1 (so its bottom coincides with the tree's
+    bottom layer) and collects the canonical order signatures.  `configs`
+    is iterated once, so it may be a corpus as read_corpus() reads it.
     """
-    ell = stable_set.ell
     if not 1 <= depth <= ell:
         raise ValueError(f"depth must be in 1..{ell}, got {depth}")
     top = ell - depth + 1
-    # the roots are ranged per config: a set with no configs, whatever its ell, ranges none
+    # the roots are ranged per config: no configs, whatever their ell, range none
     return {
         relative_order_key(config, root, depth)
-        for config in stable_set.configs
+        for config in configs
         for root in range(2 ** (top - 1), 2**top)
     }
 
@@ -664,22 +673,51 @@ def save(stable_set: StableSet, path: str) -> None:
     _write_records(path, CORPUS_FORMAT, fields, lines)
 
 
-def load(path: str) -> StableSet:
-    """Read a corpus written by save(), validating structure, count, and checksum."""
+def read_corpus(path: str) -> tuple[dict, Iterator[LabeledConfig]]:
+    """Open a corpus written by save(): its checked header, and an iterator
+    over its configurations as they are read, a batch of lines at a time.
+
+    A faulty header raises here.  The iterator stops before the first bad
+    record or the first configuration whose chips are not 2^ell - 1, and
+    raises after the body, in this order: a wrong count, a wrong checksum,
+    the first bad record, the first wrong number of chips.  So a caller
+    drains it before it trusts what it took from it.
+    """
 
     def parse(lines: list[bytes]) -> list[LabeledConfig]:
         return list(map(LabeledConfig.from_json, lines))
 
     records = _read_records(path, CORPUS_FORMAT, parse, "count", "ell")
-    header, configs = next(records), list(itertools.chain.from_iterable(records))
-    ell = header["ell"]
-    for line, config in enumerate(configs, start=2):
-        # bit_length first, so that 2**ell is only computed for a small ell
-        if config.n_chips.bit_length() != ell or config.n_chips != 2**ell - 1:
-            raise CorpusError(f"{path}: line {line}: {config.n_chips} chips, not 2^{ell} - 1")
+    header = next(records)
+    return header, _configs_of(path, header["ell"], records)
+
+
+def _configs_of(
+    path: str, ell: int, records: Iterator[list[LabeledConfig]]
+) -> Iterator[LabeledConfig]:
+    """The configurations of a corpus body's `records`, up to the first whose chips
+    are not 2^ell - 1, which raises once `records` is done."""
+    line, wrong = 2, None
+    for configs in records:
+        if wrong is not None:
+            continue
+        for config in configs:
+            # bit_length first, so that 2**ell is only computed for a small ell
+            if config.n_chips.bit_length() != ell or config.n_chips != 2**ell - 1:
+                wrong = f"{path}: line {line}: {config.n_chips} chips, not 2^{ell} - 1"
+                break
+            yield config
+            line += 1
+    if wrong is not None:
+        raise CorpusError(wrong)
+
+
+def load(path: str) -> StableSet:
+    """Read a corpus written by save(), validating structure, count, and checksum."""
+    header, configs = read_corpus(path)
     return StableSet(
-        ell=ell,
-        configs=configs,
+        ell=header["ell"],
+        configs=list(configs),
         meta={"mode": header.get("mode", "full"), **_counters(header)},
     )
 

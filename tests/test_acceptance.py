@@ -193,7 +193,7 @@ def test_criterion_05_stretch_four_layers(tmp_path):
             4, workers=2, checkpoint_path=ckpt, checkpoint_every=600
         )
         assert result.count == 36220
-        orders = enumeration.extract_subtree_orders(result, 3)
+        orders = enumeration.extract_subtree_orders(result.configs, result.ell, 3)
         assert len(orders) == 10
         assert "4;3,5;1,6,2,7" not in orders  # the one impossible order
         for config in result.configs:

@@ -114,6 +114,40 @@ class TestSimulate:
         assert excess < 10 * 2**20
 
 
+class TestCorpusMemory:
+    @pytest.fixture(scope="class")
+    def corpora(self, tmp_path_factory):
+        """Corpora of the first 200 and of all 2,000 seeded ell = 5 random-policy games."""
+        folder = tmp_path_factory.mktemp("random-play")
+        games = [labeled.run_policy(31, "random", seed=seed) for seed in range(2000)]
+        paths = []
+        for count in (200, 2000):
+            keyed = {config.canonical_json(): config for config in games[:count]}
+            stable = enumeration.StableSet(5, [keyed[key] for key in sorted(keyed)])
+            paths.append(str(folder / f"games{count}.jsonl"))
+            enumeration.save(stable, paths[-1])
+        return paths
+
+    @pytest.mark.parametrize(
+        "argv", [["check", "--property", "all"], ["extract-orders", "--depth", "3"]]
+    )
+    def test_memory_does_not_grow_with_the_corpus(self, corpora, argv):
+        # every game passes every property, so what the commands print does not grow either;
+        # a command that loads the whole corpus first peaks about 6 MiB higher on 2,000 games
+        # than on 200.  About 3 s, the games included
+        def peak(corpus) -> int:
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main([*argv, "--input", corpus]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = map(peak, corpora)
+        assert large - small < 2**20
+
+
 class TestPlay:
     def test_policy_game(self, capsys):
         code, out = run_cli(capsys, "play", "--chips", "15", "--policy", "random", "--seed", "2")
@@ -467,6 +501,66 @@ class TestEnumerateAndCorpus:
             assert main([*argv, "--input", corpus]) == 2
             captured = capsys.readouterr()
             assert captured.out == "" and "line 2: bad record" in captured.err
+
+    # the ell = 2 corpus's one configuration, and one outside the checkers' domain whose
+    # 2-layer subtree is not fully occupied either
+    _Z2 = '{"n_chips":3,"cells":[{"v":1,"chips":[2]},{"v":2,"chips":[1]},{"v":3,"chips":[3]}]}'
+    _CROWDED = '{"n_chips":3,"cells":[{"v":1,"chips":[2]},{"v":2,"chips":[1,3]}]}'
+
+    @pytest.mark.parametrize(
+        "argv, first, command_fault",
+        [
+            (
+                ["check"],
+                _CROWDED,
+                "config 0 is outside the checkers' domain: "
+                "configuration is not one chip on each vertex of the first layers",
+            ),
+            (
+                ["extract-orders", "--depth", "2"],
+                _CROWDED,
+                "subtree at 1 is not fully occupied at vertex 2",
+            ),
+            (
+                ["check", "--property", "forbidden"],
+                _Z2,
+                "property forbidden needs at least 3 layers, corpus has 2",
+            ),
+            (["extract-orders", "--depth", "3"], _Z2, "depth must be in 1..2, got 3"),
+        ],
+        ids=["domain", "subtree", "property", "depth"],
+    )
+    @pytest.mark.parametrize("file_fault", [None, "checksum", "count", "record", "chips"])
+    def test_a_fault_in_the_file_wins_over_a_fault_of_the_command(
+        self, capsys, tmp_path, monkeypatch, argv, first, command_fault, file_fault
+    ):
+        # the command meets its fault on line 2, before the reader reaches the file's:
+        # each line is a batch of its own.  Nothing is printed on stdout either way
+        monkeypatch.setattr(enumeration, "_BLOCK_BYTES", 1)
+        corpus = str(tmp_path / "z2.jsonl")
+        run_cli(capsys, "enumerate", "--ell", "2", "--out", corpus)
+        body = [first, self._Z2]
+        if file_fault == "record":
+            body.append("not a record")
+        elif file_fault == "chips":
+            body.append('{"n_chips":1,"cells":[{"v":1,"chips":[1]}]}')
+        rewrite_body(corpus, body)
+        header, rest = Path(corpus).read_text().split("\n", 1)
+        header = json.loads(header)
+        if file_fault == "checksum":
+            header["sha256"] = "0" * 64
+        elif file_fault == "count":
+            header["count"] += 1
+        Path(corpus).write_text(json.dumps(header, separators=(",", ":")) + "\n" + rest)
+        message = {
+            None: command_fault,
+            "checksum": f"{corpus}: checksum mismatch",
+            "count": f"{corpus}: header count 3 != body line count 2",
+            "record": f"{corpus}: line 4: bad record: Expecting value: line 1 column 1 (char 0)",
+            "chips": f"{corpus}: line 4: 1 chips, not 2^2 - 1",
+        }[file_fault]
+        assert main([*argv, "--input", corpus]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     def test_skipped_properties_are_absent_from_the_json_summary(self, capsys, tmp_path):
         corpus = str(tmp_path / "z2.jsonl")
@@ -831,6 +925,19 @@ def test_a_closed_stdout_exits_2_without_a_traceback():
 
 
 _CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(chipfire.__file__))}
+
+
+def test_the_cli_imports_no_worker_pool():
+    # only a search that starts a pool imports it, and with it multiprocessing
+    code = (
+        "import sys, chipfire.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('concurrent', 'multiprocessing')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_CHILD_ENV, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
 
 
 def _run_with_closed_fd(fd, *argv):

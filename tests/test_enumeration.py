@@ -7,7 +7,7 @@ import json
 import os
 import tracemalloc
 import types
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import process
 from pathlib import Path
 
 import pytest
@@ -452,7 +452,10 @@ class TestWorkers:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """The max_workers of each pool the search starts, run in this process."""
+        """The max_workers of each pool the search starts, run in this process.
+
+        The search imports the pool class when it starts a pool, so the class is
+        replaced in its own module."""
         started = []
 
         class FakePool:
@@ -468,20 +471,20 @@ class TestWorkers:
             def __exit__(self, *exc_info):
                 pass
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", FakePool)
         return started
 
     def test_a_dead_worker_pauses_the_cli_with_the_level_it_was_on(
         self, stable3, tmp_path, monkeypatch, pools
     ):
-        class DyingPool(enumeration.ProcessPoolExecutor):
+        class DyingPool(process.ProcessPoolExecutor):
             def map(self, func, batches):
                 for batch in batches:
                     yield func(batch)
                     if batch[3] == 2:  # a worker dies once depth 2's first batch is merged
-                        raise BrokenProcessPool("a child process terminated abruptly")
+                        raise process.BrokenProcessPool("a child process terminated abruptly")
 
-        monkeypatch.setattr(enumeration, "ProcessPoolExecutor", DyingPool)
+        monkeypatch.setattr(process, "ProcessPoolExecutor", DyingPool)
         monkeypatch.setattr(enumeration.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         ckpt, out, ref = (str(tmp_path / name) for name in ("K", "z3.jsonl", "ref.jsonl"))
         err = io.StringIO()
@@ -521,16 +524,16 @@ class TestWorkers:
 
 class TestSubtreeOrders:
     def test_depth_two_orders(self, stable3):
-        assert enumeration.extract_subtree_orders(stable3, 2) == {"2;1,3"}
+        assert enumeration.extract_subtree_orders(stable3.configs, stable3.ell, 2) == {"2;1,3"}
 
     def test_whole_tree_orders(self, stable3):
-        assert len(enumeration.extract_subtree_orders(stable3, 3)) == 6
+        assert len(enumeration.extract_subtree_orders(stable3.configs, stable3.ell, 3)) == 6
 
     def test_depth_out_of_range(self, stable3):
         with pytest.raises(ValueError):
-            enumeration.extract_subtree_orders(stable3, 4)
+            enumeration.extract_subtree_orders(stable3.configs, stable3.ell, 4)
         with pytest.raises(ValueError):
-            enumeration.extract_subtree_orders(stable3, 0)
+            enumeration.extract_subtree_orders(stable3.configs, stable3.ell, 0)
 
 
 class TestPersistence:
@@ -1059,7 +1062,7 @@ class TestFourLayersFull:
         enumeration.save(result, str(corpus))
         body = corpus.read_bytes().split(b"\n", 1)[1]
         assert hashlib.sha256(body).hexdigest() == FOUR_LAYER_BODY_SHA256
-        assert len(enumeration.extract_subtree_orders(result, 3)) == 10
+        assert len(enumeration.extract_subtree_orders(result.configs, result.ell, 3)) == 10
         for config in result.configs:
             for name, checker in checks.CHECKERS.items():
                 assert checker(config).passed, name
