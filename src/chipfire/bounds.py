@@ -20,7 +20,6 @@ Three bounds are provided:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -42,19 +41,7 @@ __all__ = [
     "BoundRow",
     "compare_table",
     "sci",
-    "ell_cap",
 ]
-
-DEFAULT_ELL_CAP = 16
-
-
-def ell_cap() -> int:
-    """Guard against astronomically large requests; CHIPFIRE_MAX_ELL overrides."""
-    raw = os.environ.get("CHIPFIRE_MAX_ELL", str(DEFAULT_ELL_CAP))
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CHIPFIRE_MAX_ELL must be an integer, got {raw!r}") from None
 
 
 def factorial(n: int) -> int:
@@ -219,26 +206,19 @@ CONDITIONAL = ("ballot",)
 
 @dataclass(frozen=True)
 class BoundRow:
-    """One comparison row: all six exact bound values for a given ell."""
+    """One comparison row: each method's exact (T, Z) for a given ell, by name."""
 
     ell: int
-    naive_t: int
-    naive_z: int
-    zigzag_t: int
-    zigzag_z: int
-    ballot_t: int
-    ballot_z: int
+    values: dict[str, tuple[int, int]]
 
     def flags(self) -> dict[str, bool]:
-        """Exact-integer ordering checks between the bounds."""
-        out = {
-            "zigzag_z_below_t": self.zigzag_z < self.zigzag_t,
-            "ballot_z_below_t": self.ballot_z < self.ballot_t,
-        }
+        """Exact-integer ordering checks of the paper's two refined bounds."""
+        compared = {name: self.values[name] for name in ("zigzag", "ballot")}
+        out = {f"{name}_z_below_t": z < t for name, (t, z) in compared.items()}
         if self.ell >= 5:
             reference = factorial(2**self.ell - 7)
-            out["zigzag_z_below_restricted_factorial"] = self.zigzag_z < reference
-            out["ballot_z_below_restricted_factorial"] = self.ballot_z < reference
+            for name, (_, z) in compared.items():
+                out[f"{name}_z_below_restricted_factorial"] = z < reference
         return out
 
 
@@ -248,12 +228,12 @@ def compare_table(ells: Iterable[int]) -> list[BoundRow]:
     for ell in ells:
         if ell < 4:
             raise ValueError("comparison table rows need ell >= 4")
-        rows.append(BoundRow(ell, *(value for bound in METHODS.values() for value in bound(ell))))
+        rows.append(BoundRow(ell, {name: bound(ell) for name, bound in METHODS.items()}))
     return rows
 
 
-def sci(value: int, sig: int = 2) -> str:
-    """Scientific notation for an exact integer, rounded half-even.
+def sci(value: int) -> str:
+    """2-significant-digit scientific notation for an exact integer, rounded half-even.
 
     sci(39916800) == '4.0e7'; used to render table cells the way the
     reference table displays them.
@@ -267,7 +247,7 @@ def sci(value: int, sig: int = 2) -> str:
     exp = int((value.bit_length() - 1) * math.log10(2))
     if value >= 10 ** (exp + 1):
         exp += 1
-    shift = exp - sig + 1
+    shift = exp - 1  # the power of ten dropped to keep two digits
     if shift <= 0:
         mant = value * 10**-shift
     else:
@@ -275,8 +255,7 @@ def sci(value: int, sig: int = 2) -> str:
         double = 2 * rem
         if double > 10**shift or (double == 10**shift and mant % 2 == 1):
             mant += 1
-    if mant == 10**sig:
-        mant //= 10
+    if mant == 100:
+        mant = 10
         exp += 1
-    digits = str(mant)
-    return f"{digits[0]}.{digits[1:]}e{exp}"
+    return f"{mant // 10}.{mant % 10}e{exp}"

@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 STRATEGIES = ("lowest-index-first", "random", "highest-layer-first")
-SEQUENCE_NAMES = ("f0", "F", "diff-f0", "diff-F")
 
 
 # The most chips a game is played with (simulate() and the labeled games).
@@ -283,25 +282,24 @@ def simulate(
     )
 
 
-def sequence(name: str, count: int) -> list[int]:
-    """First `count` terms (m = 1..count) of one of the even-argument series.
+# the even-argument series by name, each as its term at m
+_SEQUENCES = {
+    "f0": lambda m: root_fires_closed(2 * m),  # root fires for 2m chips
+    "F": lambda m: total_fires(2 * m),  # total fires for 2m chips
+    "diff-f0": diff_root_fires,  # f0(2m+2) - f0(2m)
+    "diff-F": diff_total_fires,  # F(2m+2) - F(2m)
+}
+SEQUENCE_NAMES = tuple(_SEQUENCES)
 
-    f0:     root fires for 2m chips
-    F:      total fires for 2m chips
-    diff-f0: f0(2m+2) - f0(2m)
-    diff-F:  F(2m+2) - F(2m)
+
+def sequence(name: str, count: int) -> list[int]:
+    """First `count` terms (m = 1..count) of the even-argument series `name`.
 
     Odd arguments add nothing: neither count depends on the lowest binary
     digit of N + 1, so f0(2m-1) = f0(2m) and F(2m-1) = F(2m).
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if name == "f0":
-        return [root_fires_closed(2 * m) for m in range(1, count + 1)]
-    if name == "F":
-        return [total_fires(2 * m) for m in range(1, count + 1)]
-    if name == "diff-f0":
-        return [diff_root_fires(m) for m in range(1, count + 1)]
-    if name == "diff-F":
-        return [diff_total_fires(m) for m in range(1, count + 1)]
-    raise ValueError(f"unknown sequence {name!r}; expected one of {SEQUENCE_NAMES}")
+    if name not in _SEQUENCES:
+        raise ValueError(f"unknown sequence {name!r}; expected one of {SEQUENCE_NAMES}")
+    return [_SEQUENCES[name](m) for m in range(1, count + 1)]

@@ -1,3 +1,6 @@
+import os
+import time
+
 import pytest
 from hypothesis import settings
 
@@ -32,3 +35,15 @@ def mirror_of(state: bytes) -> bytes:
 @pytest.fixture(scope="session")
 def stable3():
     return enumerate_stable(3)
+
+
+@pytest.fixture(scope="session")
+def four_layer_search(tmp_path_factory):
+    """The full 4-layer search and its seconds, run once for every `long` test
+    that reads it: 2 workers, with a periodic checkpoint every 600 s."""
+    if os.environ.get("CHIPFIRE_RUN_LONG") != "1":
+        pytest.skip("the full 4-layer search runs only with CHIPFIRE_RUN_LONG=1")
+    ckpt = str(tmp_path_factory.mktemp("z4") / "z4.ckpt")
+    start = time.perf_counter()
+    result = enumerate_stable(4, workers=2, checkpoint_path=ckpt, checkpoint_every=600)
+    return result, time.perf_counter() - start

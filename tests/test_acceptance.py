@@ -114,10 +114,10 @@ def test_criterion_08_table_reproduction_and_orderings():
             7: ("1.2e205", "1.5e170", "1.3e152"),
         }
         for row in bounds.compare_table(range(4, 8)):
-            rendered = (bounds.sci(row.naive_z), bounds.sci(row.zigzag_z), bounds.sci(row.ballot_z))
+            rendered = tuple(bounds.sci(z) for _, z in row.values.values())
             assert rendered == expected[row.ell], row.ell
         row4 = bounds.compare_table([4])[0]
-        assert (row4.naive_z, row4.zigzag_z, row4.ballot_z) == (39916800, 693000, 186300)
+        assert tuple(z for _, z in row4.values.values()) == (39916800, 693000, 186300)
         for ell in range(5, 13):
             reference = bounds.factorial(2**ell - 7)
             assert bounds.zigzag_bound(ell)[1] < bounds.zigzag_bound(ell)[0] < reference
@@ -186,12 +186,11 @@ def test_criterion_10_determinism(capsys, tmp_path):
     reason="stretch goal: full 4-layer enumeration, 159 s with 2 workers on 2 cores "
     "(BENCH_12.json); set CHIPFIRE_RUN_LONG=1",
 )
-def test_criterion_05_stretch_four_layers(tmp_path):
-    with criterion(5, 6 * 3600, "stretch: 36,220 stable configurations and 10 subtree orders"):
-        ckpt = str(tmp_path / "z4.ckpt")
-        result = enumeration.enumerate_stable(
-            4, workers=2, checkpoint_path=ckpt, checkpoint_every=600
-        )
+def test_criterion_05_stretch_four_layers(four_layer_search):
+    result, search_seconds = four_layer_search  # shared with test_enumeration.py
+    # the budget covers the search as well as the checks below
+    budget = 6 * 3600 - search_seconds
+    with criterion(5, budget, "stretch: 36,220 stable configurations and 10 subtree orders"):
         assert result.count == 36220
         orders = enumeration.extract_subtree_orders(result.configs, result.ell, 3)
         assert len(orders) == 10

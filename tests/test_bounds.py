@@ -87,6 +87,22 @@ class TestPrimitives:
         assert [bounds.a000295(n) for n in (1, 3, 5)] == [0, 4, 26]
         assert bounds.a000295(0) == 0
 
+    @pytest.mark.parametrize(
+        "function,argument,message",
+        [
+            (bounds.factorial, -1, "factorial of a negative number"),
+            (bounds.catalan, -1, "catalan of a negative number"),
+            (bounds.euler_zigzag, -1, "euler_zigzag of a negative number"),
+            (bounds.a000295, -1, "a000295 of a negative number"),
+            (bounds.zigzag_subtree_factor, 3, "zigzag factors need ell >= 4"),
+            (bounds.ballot_split_count, 2, "ballot split count needs ell >= 3"),
+            (bounds.sci, -1, "sci expects a nonnegative integer"),
+        ],
+    )
+    def test_input_guards(self, function, argument, message):
+        with pytest.raises(ValueError, match=message):
+            function(argument)
+
 
 class TestEulerZigzag:
     def test_examples(self):
@@ -173,7 +189,19 @@ class TestBallotBound:
 class TestComparisons:
     def test_table_row_for_four_layers(self):
         row = bounds.compare_table([4])[0]
-        assert (row.naive_z, row.zigzag_z, row.ballot_z) == (39916800, 693000, 186300)
+        assert {name: z for name, (_, z) in row.values.items()} == {
+            "naive": 39916800,
+            "zigzag": 693000,
+            "ballot": 186300,
+        }
+
+    def test_rows_follow_the_methods_by_name(self, monkeypatch):
+        reversed_methods = dict(reversed(bounds.METHODS.items()))
+        monkeypatch.setattr(bounds, "METHODS", reversed_methods)
+        row = bounds.compare_table([5])[0]
+        assert list(row.values) == list(reversed_methods)
+        for name, bound in reversed_methods.items():
+            assert row.values[name] == bound(5), name
 
     def test_orderings_hold_exactly(self):
         for row in bounds.compare_table(range(4, 13)):
@@ -223,7 +251,7 @@ class TestSci:
     def test_matches_decimal_half_even_at_eleven_layers(self):
         row = bounds.compare_table([11])[0]
         context = decimal.Context(prec=2, rounding=decimal.ROUND_HALF_EVEN)
-        for value in (row.naive_t, row.naive_z, row.zigzag_t, row.zigzag_z, row.ballot_z):
+        for value in (*row.values["naive"], *row.values["zigzag"], row.values["ballot"][1]):
             _, digits, exponent = context.create_decimal(value).as_tuple()
             assert bounds.sci(value) == f"{digits[0]}.{digits[1]}e{exponent + 1}"
 

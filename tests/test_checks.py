@@ -187,6 +187,21 @@ class TestRelativeOrderKey:
         with pytest.raises(ValueError):
             checks.relative_order_key(config, 1, 2)
 
+    @pytest.mark.parametrize(
+        "cells,depth,message",
+        [
+            ({v: [label] for v, label in SEVEN.items()}, 0, "depth must be >= 1"),
+            ({v: [label] for v, label in SEVEN.items()}, -1, "depth must be >= 1"),
+            # depth 2 fits in 7 chips, but vertex 2 holds two chips, or vertex 3 none
+            ({1: [1], 2: [2, 3], 3: [4], 4: [5], 5: [6], 6: [7]}, 2, "occupied at vertex 2"),
+            ({1: [1], 2: [2], 4: [3], 5: [4], 6: [5, 6, 7]}, 2, "occupied at vertex 3"),
+        ],
+    )
+    def test_refusals(self, cells, depth, message):
+        config = labeled.LabeledConfig(n_chips=7, cells=cells)
+        with pytest.raises(ValueError, match=message):
+            checks.relative_order_key(config, 1, depth)
+
 
 class TestOnSampledGames:
     @pytest.mark.parametrize("n_chips", [7, 15, 31])

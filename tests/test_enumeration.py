@@ -1053,8 +1053,8 @@ SCHEDULED_BODY_SHA256 = "d6e1ba0382ea2753c98c9cf2bb6c6f56570cf4d18fbf6ab8e6da9e6
     "set CHIPFIRE_RUN_LONG=1",
 )
 class TestFourLayersFull:
-    def test_ground_truth_and_observed_orders(self, tmp_path):
-        result = enumeration.enumerate_stable(4, workers=2)
+    def test_ground_truth_and_observed_orders(self, tmp_path, four_layer_search):
+        result, _ = four_layer_search  # shared with test_acceptance.py
         assert result.count == 36220
         assert result.meta["explored_states"] == 48_194_309
         assert result.meta["max_frontier"] == 9_036_223

@@ -116,6 +116,13 @@ class TestTotalFires:
 
 
 class TestDifferences:
+    @pytest.mark.parametrize(
+        "function", [unlabeled.binary_digits, unlabeled.diff_root_fires, unlabeled.diff_total_fires]
+    )
+    def test_zero_is_refused(self, function):
+        with pytest.raises(ValueError, match="must be"):
+            function(0)
+
     @pytest.mark.parametrize("m,expected", [(3, 2), (7, 3), (5, 2), (1, 1), (2, 1)])
     def test_root_fire_diff(self, m, expected):
         assert unlabeled.diff_root_fires(m) == expected
@@ -159,6 +166,15 @@ class TestSequences:
             unlabeled.sequence("nope", 5)
         with pytest.raises(ValueError):
             unlabeled.sequence("f0", 0)
+
+    def test_refusals_name_the_first_fault(self):
+        with pytest.raises(ValueError, match="count must be >= 1"):
+            unlabeled.sequence("nope", 0)
+        with pytest.raises(ValueError, match="unknown sequence 'nope'; expected one of"):
+            unlabeled.sequence("nope", 1)
+
+    def test_names_are_the_table_of_sequences(self):
+        assert unlabeled.SEQUENCE_NAMES == ("f0", "F", "diff-f0", "diff-F")
 
 
 class TestSimulate:
