@@ -1,7 +1,6 @@
 """Chip-firing on the infinite binary tree with a self-loop at the root."""
 
 from .bounds import (
-    a000295,
     ballot_bound,
     ballot_split_count,
     binomial,
@@ -36,17 +35,6 @@ from .enumeration import (
     save,
 )
 from .labeled import LabeledConfig, fire, initial_config, run_policy, run_policy_traced
-from .tree import (
-    ZigzagPath,
-    bottom_straight_left,
-    bottom_straight_right,
-    layer,
-    left_child,
-    parent,
-    right_child,
-    zigzag_from,
-    zigzag_partition,
-)
 from .unlabeled import (
     UnlabeledProfile,
     UnlabeledState,

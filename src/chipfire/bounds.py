@@ -29,7 +29,6 @@ __all__ = [
     "multinomial",
     "catalan",
     "euler_zigzag",
-    "a000295",
     "naive_bounds",
     "zigzag_subtree_factor",
     "zigzag_tree_factor",
@@ -98,13 +97,6 @@ def euler_zigzag(n: int) -> int:
             nxt.append(nxt[-1] + prev)
         row = nxt
     return row[-1]
-
-
-def a000295(n: int) -> int:
-    """2^n - n - 1 (counts nonempty non-singleton subsets of an n-set)."""
-    if n < 0:
-        raise ValueError("a000295 of a negative number")
-    return 2**n - n - 1
 
 
 def naive_bounds(ell: int) -> tuple[int, int]:

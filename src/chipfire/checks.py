@@ -20,7 +20,6 @@ from functools import cached_property, lru_cache
 from operator import itemgetter, lt
 from typing import NamedTuple
 
-from . import tree
 from .labeled import LabeledConfig
 
 __all__ = [
@@ -149,23 +148,22 @@ class Tables:
         ell = self.ell
         rows = []
         for v in range(1, 2 ** (ell - 1)):  # a bottom vertex is its own subtree
-            subtree = tuple(_subtree(v, ell - tree.layer(v) + 1))
-            bl, br = tree.bottom_straight_left(v, ell), tree.bottom_straight_right(v, ell)
-            for at, smallest in ((bl, True), (br, False)):
+            k = ell - v.bit_length()  # the layers below v
+            subtree = tuple(_subtree(v, k + 1))
+            # straight left to the bottom appends k zeros to v, straight right k ones
+            for at, smallest in ((v << k, True), (((v + 1) << k) - 1, False)):
                 rows.append(Order(v, at, smallest, tuple(u for u in subtree if u != at)))
         return OrderTable(rows)
 
     @cached_property
     def zigzag(self) -> OrderTable:
         """Consecutive chips along each maximal zigzag rise and fall alternately."""
-        rows = []
-        for v, first_move in _maximal_zigzag_starts(self.ell):
-            path = tree.zigzag_from(v, self.ell, first_move).vertices
-            ascending = path[0] % 2 == 0 or first_move == "right"
-            for a, b in zip(path, path[1:]):
-                rows.append(Order(v, a, ascending, (b,)))
-                ascending = not ascending
-        return OrderTable(rows)
+        # a chip is below the chip at its zigzag successor exactly when that is a right child
+        return OrderTable(
+            Order(path[0], a, b % 2 == 1, (b,))
+            for path in _maximal_zigzags(self.ell)
+            for a, b in zip(path, path[1:])
+        )
 
     @cached_property
     def penultimate(self) -> OrderTable:
@@ -177,7 +175,7 @@ class Tables:
         for v in range(2 ** (ell - 2), 2 ** (ell - 1)):
             for smallest in (True, False):
                 for u in _straight_ancestors(v, smallest):
-                    above = _subtree(u, ell - tree.layer(u))
+                    above = _subtree(u, ell - u.bit_length())
                     rows.append(Order(u, v, smallest, tuple(x for x in above if x != v)))
         return OrderTable(rows)
 
@@ -248,16 +246,24 @@ def check_subtree_extremes(config: LabeledConfig) -> CheckReport:
     return report
 
 
-def _maximal_zigzag_starts(ell: int) -> list[tuple[int, str | None]]:
-    """Start vertices of zigzags no longer zigzag can pass through.
+def _maximal_zigzags(ell: int) -> list[list[int]]:
+    """The zigzags down to layer ell that no longer zigzag passes through.
 
-    A non-root vertex v continues its parent's zigzag exactly when v and
-    parent(v) have opposite parity (or the parent is the root, whose two
-    zigzags absorb both children), so maximal starts are the root plus
-    same-parity children of non-root vertices.
+    A zigzag steps from a left child to its right child and from a right
+    child to its left child.  A non-root vertex continues its parent's
+    zigzag exactly when the two have opposite parity (or the parent is the
+    root, whose two zigzags take both children), so the maximal zigzags
+    are the root's two and one from each same-parity child of a non-root
+    vertex.
     """
-    same_parity = [(v, None) for v in range(4, 2**ell) if (v & 1) == ((v >> 1) & 1)]
-    return [(1, "left"), (1, "right"), *same_parity]
+    paths = [[1, 2], [1, 3]]
+    paths += [[v, 2 * v + 1 - (v & 1)] for v in range(4, 2**ell) if (v & 1) == ((v >> 1) & 1)]
+    for path in paths:
+        while path[-1].bit_length() < ell:
+            u = path[-1]
+            path.append(2 * u + 1 - (u & 1))
+        del path[ell - path[0].bit_length() + 1 :]  # at ell = 1 the root's zigzag is [1]
+    return paths
 
 
 def check_zigzag_alternation(config: LabeledConfig) -> CheckReport:

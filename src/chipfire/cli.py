@@ -101,6 +101,24 @@ def _cannot_write(path: str) -> bool:
 # subcommands
 
 
+@contextlib.contextmanager
+def _all_digits():
+    """Lift the int/str digit limit of Python >= 3.11 while a command prints exact values.
+
+    Parsing runs before, under the limit: no command reads more digits than it allows.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+# total_fires passes the limit from about 4,296-digit chip counts on
+@_all_digits()
 def cmd_fires(args) -> int:
     prof = unlabeled.profile(args.chips)
     if args.json:
@@ -169,19 +187,9 @@ def _parse_ell_range(text: str) -> tuple[int, int]:
 BOUNDS_ELL_CAP = 16
 
 
+# exact values pass the limit from ell = 11 on
+@_all_digits()
 def cmd_bounds(args) -> int:
-    # exact values pass the int/str digit limit of Python >= 3.11 from ell = 11 on
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        return _bounds(args)
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
-
-
-def _bounds(args) -> int:
     if args.table is None and args.ell is None:
         return _fail("either --ell or --table is required")
     lo, hi = _parse_ell_range(args.table) if args.table is not None else (args.ell, args.ell)

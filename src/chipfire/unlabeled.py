@@ -80,10 +80,20 @@ def stable_chip_counts(n_chips: int) -> list[int]:
 
 
 def fires_per_layer(n_chips: int) -> list[int]:
-    """Per-layer fire tally f_0..f_{n-1} (f_k for every vertex on layer k+1)."""
+    """Per-layer fire tally f_0..f_{n-1} (f_k for every vertex on layer k+1).
+
+    f_k = sum_{j=1}^{n-k-1} (2^j - 1) c_{k+j}, built from the bottom layer up in
+    time linear in the output: S_k = sum_j 2^j c_{k+j} = 2 (c_{k+1} + S_{k+1}),
+    and f_k is S_k less the chips of one vertex on each layer below k + 1.
+    """
     c = stable_chip_counts(n_chips)
-    n = len(c)
-    return [sum((2**j - 1) * c[k + j] for j in range(1, n - k)) for k in range(n)]
+    f = [0] * len(c)
+    weighted = below = 0
+    for k in range(len(c) - 2, -1, -1):
+        weighted = 2 * (c[k + 1] + weighted)
+        below += c[k + 1]
+        f[k] = weighted - below
+    return f
 
 
 def root_fires_closed(n_chips: int) -> int:
@@ -171,9 +181,6 @@ class UnlabeledState:
     n_chips: int
     cells: dict[int, int]
     fired: dict[int, int] = field(default_factory=dict)
-
-    def total(self) -> int:
-        return sum(self.cells.values())
 
 
 def _game(

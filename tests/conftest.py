@@ -4,6 +4,7 @@ import time
 import pytest
 from hypothesis import settings
 
+from chipfire import unlabeled
 from chipfire.enumeration import enumerate_stable
 from chipfire.labeled import LabeledConfig
 
@@ -18,6 +19,16 @@ def single_chip_config(placement: dict[int, int]) -> LabeledConfig:
     )
     config.validate()
     return config
+
+
+def closed_forms_by_vertex(n_chips: int) -> tuple[dict[int, int], dict[int, int]]:
+    """Reference: the chips and the nonzero fire tallies of each vertex once n_chips
+    chips are stable, in ascending vertex order, as the per-layer closed forms give them."""
+    c = unlabeled.stable_chip_counts(n_chips)
+    f = unlabeled.fires_per_layer(n_chips)
+    vertices = range(1, 2 ** len(c))
+    cells = {v: c[v.bit_length() - 1] for v in vertices}
+    return cells, {v: f[v.bit_length() - 1] for v in vertices if f[v.bit_length() - 1]}
 
 
 def shadow_of(state: bytes) -> bytes:

@@ -17,7 +17,7 @@ import pytest
 
 from chipfire import bounds, checks, enumeration, unlabeled
 from chipfire.cli import main as cli_main
-from chipfire.tree import layer
+from conftest import closed_forms_by_vertex
 
 
 @contextmanager
@@ -36,10 +36,7 @@ def criterion(number: int, budget_seconds: float, description: str):
 def test_criterion_01_simulation_matches_closed_forms():
     with criterion(1, 10, "simulate() equals closed-form fire and chip counts, N <= 300"):
         for n in range(1, 301):
-            c = unlabeled.stable_chip_counts(n)
-            f = unlabeled.fires_per_layer(n)
-            cells = {v: c[layer(v) - 1] for v in range(1, 2 ** len(c))}
-            fired = {v: f[layer(v) - 1] for v in range(1, 2 ** len(f)) if f[layer(v) - 1]}
+            cells, fired = closed_forms_by_vertex(n)
             for strategy in unlabeled.STRATEGIES:
                 for seed in range(5):
                     state = unlabeled.simulate(n, strategy, seed=seed)
@@ -70,7 +67,7 @@ def test_criterion_03_sequence_reproduction():
             want = trailing if m == 2**trailing - 1 else trailing + 1
             d = unlabeled.diff_root_fires(m)
             assert d == want, m
-            assert unlabeled.diff_total_fires(m) == bounds.a000295(d + 1), m
+            assert unlabeled.diff_total_fires(m) == 2 ** (d + 1) - (d + 1) - 1, m
 
 
 def test_criterion_04_recursion_consistency():

@@ -151,6 +151,22 @@ def test_a_corpus_pair_whose_set_ups_built_different_inputs_is_not_correct():
     assert [run["correct"] for run in runs] == [True, True, False, False, True, True]
 
 
+def test_each_side_keeps_its_own_first_machine_line(monkeypatch, tmp_path):
+    def run_side(root, workload, seed, seconds):
+        machine = {"src_sha256": root.name, "seed": seed}
+        return {"correct": True, "metrics": {"wall_s.g": 1.0, "rss_mb.g": 2.0}, "machine": machine}
+
+    monkeypatch.setattr(bench_pairs, "run_side", run_side)
+    monkeypatch.setitem(bench_pairs.DEEP, "one-game", {"g": ["fires", "--chips", "3"]})
+    parent, change, out = tmp_path / "p", tmp_path / "c", tmp_path / "bench.json"
+    argv = ["--parent", str(parent), "--change", str(change), "--workload", "one-game"]
+    assert bench_pairs.main([*argv, "--pairs", "2", "--seed", "5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["workloads"]["one-game"]["machine"] == {
+        "parent": {"src_sha256": "p", "seed": 5},
+        "change": {"src_sha256": "c", "seed": 5},
+    }
+
+
 def test_an_ell4_run_records_its_own_peak_rss_not_its_caller_s(monkeypatch):
     # a 2-layer search stands in for the 4-layer one
     monkeypatch.setattr(bench_pairs, "ELL4_ARGV", ["enumerate", "--ell", "2"])

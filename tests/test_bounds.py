@@ -83,17 +83,12 @@ class TestPrimitives:
         assert [bounds.catalan(n) for n in range(8)] == [1, 1, 2, 5, 14, 42, 132, 429]
         assert bounds.catalan(7) == bounds.binomial(14, 7) // 8
 
-    def test_a000295(self):
-        assert [bounds.a000295(n) for n in (1, 3, 5)] == [0, 4, 26]
-        assert bounds.a000295(0) == 0
-
     @pytest.mark.parametrize(
         "function,argument,message",
         [
             (bounds.factorial, -1, "factorial of a negative number"),
             (bounds.catalan, -1, "catalan of a negative number"),
             (bounds.euler_zigzag, -1, "euler_zigzag of a negative number"),
-            (bounds.a000295, -1, "a000295 of a negative number"),
             (bounds.zigzag_subtree_factor, 3, "zigzag factors need ell >= 4"),
             (bounds.ballot_split_count, 2, "ballot split count needs ell >= 3"),
             (bounds.sci, -1, "sci expects a nonnegative integer"),

@@ -309,3 +309,33 @@ def test_the_pairs_an_order_table_tests_imply_all_its_pairs(name):
                         reached.add(b)
                         todo.append(b)
             assert {b for x, b in table.pairs if x == a} <= reached, (ell, a)
+
+
+def test_every_table_is_pinned():
+    """The rows and tested pairs of each order table, and the anchors and forbidden
+    subtrees, for ell = 1..8, hashed.  The digest was taken from the tables as they
+    were built on a separate tree module, before the tables did their own index
+    arithmetic."""
+    results = []
+    for ell in range(1, 9):
+        tables = checks.tables(ell)
+        for name in ("anchors", "extremes", "zigzag", "penultimate", "forbidden"):
+            if ell < checks.min_layers_for(name):
+                continue
+            table = getattr(tables, name)
+            if isinstance(table, checks.OrderTable):
+                results.append([ell, name, table.rows, table.tested])
+            else:
+                results.append([ell, name, table])
+    assert _digest(results) == "6bcc226ca95736096d556477613fb6914f39d46b1afb2e490c12c26d4a9e8cfd"
+
+    # the root's two zigzags, left first (1, 10, 101, ... in binary) then right first;
+    # the chip at a vertex is below the next one's exactly when that is a right child
+    root = [(r.at, *r.others, r.smallest) for r in checks.tables(5).zigzag.rows if r.root == 1]
+    assert root == [
+        (1, 2, False), (2, 5, True), (5, 10, False), (10, 21, True),
+        (1, 3, True), (3, 6, False), (6, 13, True), (13, 26, False),
+    ]
+    # each subtree's extremes sit bottom-straight-left and bottom-straight-right
+    at = {(r.root, r.smallest): r.at for r in checks.tables(4).extremes.rows}
+    assert (at[1, True], at[1, False], at[3, True], at[2, False]) == (8, 15, 12, 11)

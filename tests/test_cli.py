@@ -63,6 +63,29 @@ class TestFires:
         code, _ = run_cli(capsys, "fires", "--chips", "0")
         assert code == 2
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"), reason="no int/str digit limit before 3.11"
+    )
+    @pytest.mark.parametrize("form", [[], ["--json"]])
+    def test_exact_values_past_the_digit_limit(self, capsys, form):
+        # under the least limit Python allows, the most chips the parser then reads
+        chips = 10**639 - 1
+        want = unlabeled.total_fires(chips)
+        argv = ["fires", "--chips", str(chips), *form]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out = run_cli(capsys, *argv)
+            assert sys.get_int_max_str_digits() == 640  # the lifted limit is restored
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert code == 0
+        if form:
+            total = json.loads(out)["total_fires"]
+        else:
+            total = int(dict(line.split(" ", 1) for line in out.splitlines())["total_fires"])
+        assert (total, len(str(total))) == (want, 643)
+
 
 class TestSimulate:
     def test_unlabeled(self, capsys):

@@ -6,12 +6,7 @@ import random
 import pytest
 
 from chipfire import labeled, unlabeled
-from chipfire.tree import layer
-
-
-def expected_shadow(n_chips):
-    c = unlabeled.stable_chip_counts(n_chips)
-    return {v: c[layer(v) - 1] for v in range(1, 2 ** len(c))}
+from conftest import closed_forms_by_vertex
 
 
 # labeled games of 65,535 chips take seconds each, so they run with the long tests
@@ -123,9 +118,7 @@ class TestRunPolicy:
         config, fired = labeled.run_policy_traced(n, policy, seed=11)
         config.validate()
         assert config.is_stable()
-        assert config.shadow() == expected_shadow(n)
-        f = unlabeled.fires_per_layer(n)
-        assert fired == {v: f[layer(v) - 1] for v in range(1, 2 ** len(f)) if f[layer(v) - 1]}
+        assert (config.shadow(), fired) == closed_forms_by_vertex(n)
         assert sum(fired.values()) == unlabeled.total_fires(n)
 
     def test_random_policy_is_seed_deterministic(self):
@@ -137,7 +130,7 @@ class TestRunPolicy:
         one = labeled.run_policy(15, "random", seed=1)
         two = labeled.run_policy(15, "random", seed=2)
         assert one.is_stable() and two.is_stable()
-        assert one.shadow() == two.shadow() == expected_shadow(15)
+        assert one.shadow() == two.shadow() == closed_forms_by_vertex(15)[0]
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):

@@ -1,138 +1,159 @@
+"""The tree geometry the checkers compute by index arithmetic.
+
+Vertex v has children 2v and 2v + 1 and lies on layer v.bit_length().
+checks.py reads the tree through _subtree (a subtree layer by layer),
+_straight_ancestors (parents reached by undoing only left or only right
+steps), the extremes table (bottom-straight descendants) and
+_maximal_zigzags; these tests hold each to the tree's known answers.
+"""
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chipfire import tree
+from chipfire.checks import (
+    _maximal_zigzags,
+    _straight_ancestors,
+    _subtree,
+    relative_order_key,
+    tables,
+)
+from conftest import single_chip_config
 
 vertices = st.integers(min_value=1, max_value=2**62)
 
 
+def _children(v):
+    _, left, right = _subtree(v, 2)
+    return left, right
+
+
+def _parent(v):
+    (u, *_) = _straight_ancestors(v, v % 2 == 0)
+    return u
+
+
+def _zigzags(ell, start):
+    return [path for path in _maximal_zigzags(ell) if path[0] == start]
+
+
 @pytest.mark.parametrize("v,expected", [(1, 1), (5, 3), (21, 5), (2, 2), (1023, 10)])
 def test_layer(v, expected):
-    assert tree.layer(v) == expected
+    # the subtree of the root with `expected` layers ends on v's layer
+    assert v in set(_subtree(1, expected)) - set(_subtree(1, expected - 1))
 
 
 def test_children_and_parent():
-    assert tree.left_child(3) == 6
-    assert tree.right_child(1) == 3
-    assert tree.parent(7) == 3
-    assert tree.parent(6) == 3
+    assert _children(3)[0] == 6
+    assert _children(1)[1] == 3
+    assert _parent(7) == 3
+    assert _parent(6) == 3
 
 
 def test_root_has_no_parent():
-    with pytest.raises(ValueError):
-        tree.parent(1)
+    assert _straight_ancestors(1, True) == []
+    assert _straight_ancestors(1, False) == []
 
 
 @pytest.mark.parametrize("bad", [0, -3])
 def test_vertices_are_positive(bad):
     with pytest.raises(ValueError):
-        tree.layer(bad)
+        relative_order_key(single_chip_config({1: 1}), bad, 1)
 
 
 @given(vertices)
 def test_parent_inverts_children(v):
-    assert tree.parent(tree.left_child(v)) == v
-    assert tree.parent(tree.right_child(v)) == v
+    left, right = _children(v)
+    assert _parent(left) == v
+    assert _parent(right) == v
 
 
 @given(vertices)
 def test_children_are_one_layer_down(v):
-    assert tree.layer(tree.left_child(v)) == tree.layer(v) + 1
-    assert tree.layer(tree.right_child(v)) == tree.layer(v) + 1
+    assert [u.bit_length() for u in _children(v)] == [v.bit_length() + 1] * 2
 
 
 def test_parent_child_roundtrip_exhaustive():
     for v in range(1, 2**16 + 1):
-        assert tree.parent(tree.left_child(v)) == v
-        assert tree.parent(tree.right_child(v)) == v
+        left, right = _children(v)
+        assert _parent(left) == v
+        assert _parent(right) == v
 
 
 def test_bottom_straight_descendants():
-    assert tree.bottom_straight_left(1, 4) == 8
-    assert tree.bottom_straight_left(3, 4) == 12
-    assert tree.bottom_straight_right(1, 4) == 15
-    assert tree.bottom_straight_left(5, 3) == 5
-    assert tree.bottom_straight_right(2, 4) == 11
+    def targets(ell):
+        return {(row.root, row.smallest): row.at for row in tables(ell).extremes.rows}
 
-
-def test_bottom_straight_below_layer_is_error():
-    with pytest.raises(ValueError):
-        tree.bottom_straight_left(8, 2)
-    with pytest.raises(ValueError):
-        tree.bottom_straight_right(8, 2)
+    four = targets(4)
+    assert four[1, True] == 8
+    assert four[3, True] == 12
+    assert four[1, False] == 15
+    assert four[2, False] == 11
+    # a bottom vertex is its own subtree: no order is rooted there
+    assert (5, True) not in targets(3)
 
 
 class TestZigzag:
     def test_from_root_left_first(self):
-        path = tree.zigzag_from(1, 5, "left")
-        assert path.vertices == (1, 2, 5, 10, 21)
-        assert path.start_side == "root-left"
+        assert [1, 2, 5, 10, 21] in _zigzags(5, 1)
 
     def test_from_root_right_first(self):
-        assert tree.zigzag_from(1, 5, "right").vertices == (1, 3, 6, 13, 26)
+        assert [1, 3, 6, 13, 26] in _zigzags(5, 1)
 
     def test_from_right_child(self):
-        path = tree.zigzag_from(3, 5)
-        assert path.vertices == (3, 6, 13, 26)
-        assert path.start_side == "from-right-child"
+        assert _zigzags(5, 7) == [[7, 14, 29]]
 
     def test_from_left_child(self):
-        path = tree.zigzag_from(4, 5)
-        assert path.vertices == (4, 9, 18)
-        assert path.start_side == "from-left-child"
+        assert _zigzags(5, 4) == [[4, 9, 18]]
 
     def test_length_matches_layer_span(self):
-        for v, end in [(1, 7), (2, 6), (7, 9), (12, 4)]:
-            first = "left" if v == 1 else None
-            path = tree.zigzag_from(v, end, first).vertices
-            assert len(path) == end - tree.layer(v) + 1
-            assert tree.layer(path[-1]) == end
+        for ell in range(1, 10):
+            for path in _maximal_zigzags(ell):
+                assert len(path) == ell - path[0].bit_length() + 1
+                assert path[-1].bit_length() == ell
 
     def test_first_move_only_for_root(self):
-        with pytest.raises(ValueError):
-            tree.zigzag_from(4, 6, "left")
-        with pytest.raises(ValueError):
-            tree.zigzag_from(1, 6)
-
-    def test_end_layer_above_vertex_is_error(self):
-        with pytest.raises(ValueError):
-            tree.zigzag_from(8, 3)
+        # only the root has a choice of first move, so it alone starts two zigzags
+        starts = [path[0] for path in _maximal_zigzags(7)]
+        assert starts.count(1) == 2
+        assert len(set(starts)) == len(starts) - 1
 
     def test_root_left_path_alternates_binary_digits(self):
         # indices on this path read 1, 10, 101, 1010, ... in binary
-        path = tree.zigzag_from(1, 10, "left").vertices
+        (path,) = [p for p in _zigzags(10, 1) if p[1] == 2]
         for v in path:
             bits = bin(v)[2:]
             assert all(a != b for a, b in zip(bits, bits[1:]))
 
-    @given(vertices.filter(lambda v: v > 1), st.integers(min_value=0, max_value=40))
-    def test_parity_strictly_alternates(self, v, extra):
-        path = tree.zigzag_from(v, tree.layer(v) + extra).vertices
-        for a, b in zip(path, path[1:]):
-            assert b in (2 * a, 2 * a + 1)
-            assert a % 2 != b % 2
+    @given(st.integers(min_value=1, max_value=12))
+    def test_parity_strictly_alternates(self, ell):
+        for path in _maximal_zigzags(ell):
+            for a, b in zip(path, path[1:]):
+                assert b in (2 * a, 2 * a + 1)
+                # the root is neither child, so its step is the one free choice
+                assert a == 1 or a % 2 != b % 2
 
 
 class TestZigzagPartition:
     def test_depths_for_four_layers(self):
-        parts = tree.zigzag_partition(4, "left")
-        assert sorted(d for _, d in parts) == [1, 2, 3]
+        assert sorted(map(len, _maximal_zigzags(4))) == [1, 1, 1, 1, 2, 2, 4, 4]
 
     def test_two_layers(self):
-        assert [d for _, d in tree.zigzag_partition(2, "left")] == [1]
+        assert _maximal_zigzags(2) == [[1, 2], [1, 3]]
 
     def test_needs_two_layers(self):
-        with pytest.raises(ValueError):
-            tree.zigzag_partition(1, "left")
+        # a zigzag step spans two layers, so one layer orders nothing
+        assert tables(1).zigzag.rows == ()
+        assert len(tables(2).zigzag.rows) == 2
 
     @pytest.mark.parametrize("ell", range(2, 11))
     @pytest.mark.parametrize("first_move", ["left", "right"])
     def test_partition_covers_tree_exactly(self, ell, first_move):
-        covered = list(tree.zigzag_from(1, ell, first_move).vertices)
-        for root, depth in tree.zigzag_partition(ell, first_move):
-            assert tree.layer(root) + depth - 1 == ell
-            for d in range(depth):
-                start = root * 2**d
-                covered.extend(range(start, start + 2**d))
+        # the root's zigzag and the whole subtrees hanging off it tile the tree
+        second = 2 if first_move == "left" else 3
+        (path,) = [p for p in _zigzags(ell, 1) if p[1] == second]
+        covered = list(path)
+        for a, b in zip(path, path[1:]):
+            off = b ^ 1  # the child of a that the zigzag leaves
+            covered.extend(_subtree(off, ell - off.bit_length() + 1))
         assert sorted(covered) == list(range(1, 2**ell))

@@ -1,11 +1,12 @@
 import heapq
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from chipfire import labeled, unlabeled
-from chipfire.tree import layer
+from conftest import closed_forms_by_vertex
 
 chip_counts = st.integers(min_value=1, max_value=10**9)
 
@@ -70,6 +71,16 @@ class TestFireCounts:
         f = unlabeled.fires_per_layer(n)
         assert f[-1] == 0
         assert all(a >= b for a, b in zip(f, f[1:]))
+
+    def test_recurrence_equals_the_double_sum(self):
+        # f_k = sum_{j=1}^{n-k-1} (2^j - 1) c_{k+j}, the paper's formula, summed as written:
+        # its cost grows with the cube of the bits, 1.4 s at 2,000
+        rng = random.Random(4299)
+        wide = [rng.getrandbits(bits) | 1 << (bits - 1) for bits in (64, 500, 1000, 2000)]
+        for n in [*range(1, 2001), *wide]:
+            c = unlabeled.stable_chip_counts(n)
+            want = [sum((2**j - 1) * c[k + j] for j in range(1, len(c) - k)) for k in range(len(c))]
+            assert unlabeled.fires_per_layer(n) == want, n
 
     def test_difference_identity_exhaustive(self):
         for n in range(1, 10**4 + 1):
@@ -198,17 +209,12 @@ class TestSimulate:
     @pytest.mark.parametrize("n", [1, 2, 5, 12, 100, 255, 256])
     def test_matches_closed_forms(self, n):
         state = unlabeled.simulate(n)
-        c = unlabeled.stable_chip_counts(n)
-        f = unlabeled.fires_per_layer(n)
-        assert state.cells == {v: c[layer(v) - 1] for v in range(1, 2 ** len(c))}
-        assert state.fired == {
-            v: f[layer(v) - 1] for v in range(1, 2 ** len(f)) if f[layer(v) - 1]
-        }
+        assert (state.cells, state.fired) == closed_forms_by_vertex(n)
 
     def test_no_chip_ever_leaves_the_occupied_layers(self):
         state = unlabeled.simulate(64)
         deepest = len(unlabeled.stable_chip_counts(64))
-        assert max(layer(v) for v in state.cells) == deepest
+        assert max(v.bit_length() for v in state.cells) == deepest
 
     def test_toppling_matches_one_fire_per_step(self):
         # one pick fires a vertex up to stability; by the abelian property the
@@ -222,14 +228,8 @@ class TestSimulate:
 
     @pytest.mark.parametrize("strategy", unlabeled.STRATEGIES)
     def test_deep_game_matches_closed_forms(self, strategy):
-        n = 65_535
-        c = unlabeled.stable_chip_counts(n)
-        f = unlabeled.fires_per_layer(n)
-        state = unlabeled.simulate(n, strategy, seed=1)
-        assert state.cells == {v: c[layer(v) - 1] for v in range(1, 2 ** len(c))}
-        assert state.fired == {
-            v: f[layer(v) - 1] for v in range(1, 2 ** len(f)) if f[layer(v) - 1]
-        }
+        state = unlabeled.simulate(65_535, strategy, seed=1)
+        assert (state.cells, state.fired) == closed_forms_by_vertex(65_535)
 
     @pytest.mark.parametrize("strategy", unlabeled.STRATEGIES)
     def test_step_cap_counts_fires_not_picks(self, monkeypatch, strategy):
@@ -253,7 +253,7 @@ class TestSimulate:
     def test_games_refuse_more_chips_than_the_bound(self, monkeypatch):
         # a lowered bound, so no game near the real one is ever started
         monkeypatch.setattr(unlabeled, "MAX_GAME_CHIPS", 100)
-        assert unlabeled.simulate(100).total() == 100
+        assert sum(unlabeled.simulate(100).cells.values()) == 100
         assert labeled.initial_config(100).n_chips == 100
         with pytest.raises(ValueError, match="at most 100 chips, got 101"):
             unlabeled.simulate(101)

@@ -297,13 +297,14 @@ def main(argv: list[str] | None = None) -> int:
         spec = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
         better = {m["name"]: m["better"] for m in spec["end_to_end"]}
 
-    runs, machine = [], None
+    runs, machine = [], {}  # each side's first machine line
     for i in range(args.pairs):
         seed = args.seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             result = run_side(getattr(args, side), args.workload, seed, args.seconds)
-            machine = result.pop("machine", None) or machine
+            if "machine" in result:
+                machine.setdefault(side, result.pop("machine"))
             result["metrics"] = {
                 k: v["value"] if isinstance(v, dict) else v for k, v in result["metrics"].items()
             }
@@ -329,7 +330,10 @@ def main(argv: list[str] | None = None) -> int:
             f"perfbench/run.py --workload {args.workload} --seconds {args.seconds:g} --trace 0",
         ),
         "seeds": [args.seed + i for i in range(args.pairs)],
-        "machine": machine or {"nproc": os.cpu_count(), "python": platform.python_version()},
+        "machine": {
+            side: machine.get(side, {"nproc": os.cpu_count(), "python": platform.python_version()})
+            for side in ("parent", "change")
+        },
         "summary": summarize(runs, better),
         "runs": runs,
     }
