@@ -17,12 +17,7 @@ from .bounds import (
 from .checks import (
     CheckReport,
     Violation,
-    check_anchors,
-    check_ballot,
-    check_forbidden_order,
-    check_penultimate,
-    check_subtree_extremes,
-    check_zigzag_alternation,
+    check,
     relative_order_key,
 )
 from .enumeration import (

@@ -1,10 +1,11 @@
 """Structural property checkers for stable labeled configurations.
 
-Every checker takes a stable configuration of N = 2^ell - 1 chips whose
-shadow is one chip on each vertex of the first ell layers, and returns a
-CheckReport listing violations (with the witnessing vertices) instead of
-raising.  Handing a checker anything outside that domain is a usage
-error, not a failed check.
+check() takes a stable configuration of N = 2^ell - 1 chips whose shadow
+is one chip on each vertex of the first ell layers, reads the chip on
+each vertex once, and hands that list to each property's checker, which
+returns a CheckReport listing violations (with the witnessing vertices)
+instead of raising.  Handing check() anything outside that domain is a
+usage error, not a failed check.
 
 What a checker reads of the tree depends on ell alone, so it comes from
 tables(ell), built once per ell; per configuration a checker only looks
@@ -25,6 +26,7 @@ from .labeled import LabeledConfig
 __all__ = [
     "Violation",
     "CheckReport",
+    "check",
     "check_anchors",
     "check_subtree_extremes",
     "check_zigzag_alternation",
@@ -53,9 +55,13 @@ class CheckReport:
         self.passed = False
 
 
+# the properties defined only from more than one layer on
+_MIN_LAYERS = {"anchors": 2, "penultimate": 2, "forbidden": 3}
+
+
 def min_layers_for(property_name: str) -> int:
     """Smallest layer count a property is defined for."""
-    return {"anchors": 2, "penultimate": 2, "forbidden": 3}.get(property_name, 1)
+    return _MIN_LAYERS.get(property_name, 1)
 
 
 def _getter(keys) -> Callable:
@@ -191,12 +197,11 @@ def tables(ell: int) -> Tables:
     return Tables(ell)
 
 
-def _labels(config: LabeledConfig, property_name: str) -> tuple[list[int], int]:
+def _labels(config: LabeledConfig) -> tuple[list[int], int]:
     """The chip on each vertex, indexed by vertex (entry 0 unused), and ell.
 
     Refuses anything outside the checkers' domain: N = 2^ell - 1 chips,
-    stable, one chip on each vertex of the first ell layers, and at least
-    the property's minimum layer count.
+    stable, one chip on each vertex of the first ell layers.
     """
     n = config.n_chips
     ell = n.bit_length()
@@ -213,20 +218,33 @@ def _labels(config: LabeledConfig, property_name: str) -> tuple[list[int], int]:
         if not config.is_stable():
             raise ValueError("checkers only accept stable configurations")
         raise ValueError("configuration is not one chip on each vertex of the first layers")
-    needed = min_layers_for(property_name)
-    if ell < needed:
-        raise ValueError(f"{property_name} check needs at least {needed} layers")
     return labels, ell
 
 
-def check_anchors(config: LabeledConfig) -> CheckReport:
+def check(config: LabeledConfig, names: Iterable[str] | None = None) -> dict[str, CheckReport]:
+    """Each named property's report on `config`, in `names` order; None names them all.
+
+    The configuration is read once for all of them.  Refuses anything
+    outside the checkers' domain, and a property below its minimum layer
+    count.
+    """
+    labels, ell = _labels(config)
+    names = list(CHECKERS if names is None else names)
+    for name in names:
+        needed = min_layers_for(name)
+        if ell < needed:
+            raise ValueError(f"{name} check needs at least {needed} layers")
+    # looked up per call, so that an entry replaced in CHECKERS is the one that runs
+    return {name: CHECKERS[name](labels, ell) for name in names}
+
+
+def check_anchors(labels: list[int], ell: int) -> CheckReport:
     """The two smallest and two largest chips sit in forced positions.
 
     Chip 1 ends at the leftmost bottom vertex and chip N at the rightmost;
     for ell >= 3, chip 2 sits at the parent of chip 1's vertex and chip
     N - 1 at the parent of chip N's vertex.
     """
-    labels, ell = _labels(config, "anchors")
     report = CheckReport("anchors")
     for chip, want in tables(ell).anchors:
         if labels[want] != chip:
@@ -235,10 +253,9 @@ def check_anchors(config: LabeledConfig) -> CheckReport:
     return report
 
 
-def check_subtree_extremes(config: LabeledConfig) -> CheckReport:
+def check_subtree_extremes(labels: list[int], ell: int) -> CheckReport:
     """Each subtree keeps its smallest chip bottom-straight-left and its
     largest bottom-straight-right."""
-    labels, ell = _labels(config, "extremes")
     report = CheckReport("extremes")
     for (v, at, smallest, _), found, want in tables(ell).extremes.broken(labels):
         word = "minimum" if smallest else "maximum"
@@ -266,14 +283,13 @@ def _maximal_zigzags(ell: int) -> list[list[int]]:
     return paths
 
 
-def check_zigzag_alternation(config: LabeledConfig) -> CheckReport:
+def check_zigzag_alternation(labels: list[int], ell: int) -> CheckReport:
     """Chips along every maximal zigzag rise and fall alternately.
 
     Zigzags starting at a left child (or at the root moving right) open
     ascending: c1 < c2 > c3 < ...; starts at a right child (or the root
     moving left) open descending.
     """
-    labels, ell = _labels(config, "zigzag")
     report = CheckReport("zigzag")
     for (_, a, ascending, (b,)), ca, cb in tables(ell).zigzag.broken(labels):
         rel = "<" if ascending else ">"
@@ -291,7 +307,7 @@ def _straight_ancestors(v: int, left: bool) -> list[int]:
     return out
 
 
-def check_penultimate(config: LabeledConfig) -> CheckReport:
+def check_penultimate(labels: list[int], ell: int) -> CheckReport:
     """Chips one layer above the bottom are extremes of their straight
     ancestors' subtrees, once the bottom layer is excluded.
 
@@ -301,7 +317,6 @@ def check_penultimate(config: LabeledConfig) -> CheckReport:
     straight-right side).  v itself need not be tested: the chip at v is
     the only chip of v's subtree above the bottom layer.
     """
-    labels, ell = _labels(config, "penultimate")
     report = CheckReport("penultimate")
     for (u, v, smallest, _), found, want in tables(ell).penultimate.broken(labels):
         word = "smallest" if smallest else "largest"
@@ -313,14 +328,13 @@ def check_penultimate(config: LabeledConfig) -> CheckReport:
     return report
 
 
-def check_ballot(config: LabeledConfig) -> CheckReport:
+def check_ballot(labels: list[int], ell: int) -> CheckReport:
     """Left subtrees are pointwise dominated by their right siblings.
 
     At every vertex above the bottom layer, the i-th smallest chip of the
     left child's subtree must be smaller than the i-th smallest chip of
     the right child's subtree, for all i.
     """
-    labels, ell = _labels(config, "ballot")
     # per vertex, the ascending chips of its subtree, built bottom-up
     sub = list(map(list, zip(labels)))
     for v in range(2 ** (ell - 1) - 1, 0, -1):
@@ -339,14 +353,13 @@ def check_ballot(config: LabeledConfig) -> CheckReport:
     return report
 
 
-def check_forbidden_order(config: LabeledConfig) -> CheckReport:
+def check_forbidden_order(labels: list[int], ell: int) -> CheckReport:
     """No bottom-anchored 3-layer subtree shows the impossible order.
 
     The excluded pattern has the second-smallest chip away from the parent
     of the smallest chip while the second-largest chip is simultaneously
     away from the parent of the largest chip.
     """
-    labels, ell = _labels(config, "forbidden")
     report = CheckReport("forbidden")
     for vertices in tables(ell).forbidden:
         s = vertices[0]
@@ -399,6 +412,7 @@ def relative_order_key(config: LabeledConfig, subtree_root: int, depth: int) -> 
     return layout.format(*map(rank.__getitem__, chips))
 
 
+# each property's checker, a function of (labels, ell): labels[v] is the chip at vertex v
 CHECKERS = {
     "anchors": check_anchors,
     "extremes": check_subtree_extremes,

@@ -5,8 +5,8 @@ extract-orders, check, bounds, sequence.  Output on stdout is a stable
 contract: given the same flags and seed, every invocation produces
 byte-identical bytes (progress and diagnostics go to stderr).  Exit
 codes: 0 success / all checks pass, 1 property failure, 2 usage or input
-error, 3 checkpoint error, 4 enumeration paused with a checkpoint
-written.
+error, 3 checkpoint error, 4 enumeration paused (a checkpoint is written
+when --checkpoint is given).
 
 The subcommands leave the library's own argument checks to the library:
 main() turns any ValueError it raises (CorpusError is one) into a single
@@ -172,10 +172,11 @@ def cmd_sequence(args) -> int:
 
 
 def _parse_ell_range(text: str) -> tuple[int, int]:
-    lo, sep, hi = text.partition("..")
-    if not sep:
-        raise ValueError("range must look like L1..L2, e.g. 4..7")
-    lo, hi = int(lo), int(hi)
+    lo, _, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi)  # without "..", hi is "" and refused
+    except ValueError:
+        raise ValueError("range must look like L1..L2, e.g. 4..7") from None
     if hi < lo:
         raise ValueError(f"range {text} is empty: L2 must be >= L1")
     return lo, hi
@@ -329,7 +330,7 @@ def cmd_check(args) -> int:
 
     # the text report; under --json only the JSON object is printed
     lines = []
-    checkers = {}
+    names = []
     failures = []
     with _file_faults_first(configs):
         for name in checks.CHECKERS if args.property == "all" else [args.property]:
@@ -341,17 +342,15 @@ def cmd_check(args) -> int:
                     )
                 lines.append(f"skip {name}: needs at least {needed} layers, corpus has {ell}")
             else:
-                checkers[name] = checks.CHECKERS[name]
+                names.append(name)
 
-        summary = {name: {"pass": 0, "fail": 0} for name in checkers}
+        summary = {name: {"pass": 0, "fail": 0} for name in names}
         for index, config in enumerate(configs):
-            for name, checker in checkers.items():
-                try:
-                    report = checker(config)
-                except ValueError as exc:
-                    raise ValueError(
-                        f"config {index} is outside the checkers' domain: {exc}"
-                    ) from exc
+            try:
+                reports = checks.check(config, names)
+            except ValueError as exc:
+                raise ValueError(f"config {index} is outside the checkers' domain: {exc}") from exc
+            for name, report in reports.items():
                 summary[name]["pass" if report.passed else "fail"] += 1
                 if report.passed and args.verbose:
                     lines.append(f"config {index} {name} PASS")

@@ -124,7 +124,8 @@ class CorpusError(ValueError):
 
 
 class EnumerationPaused(RuntimeError):
-    """The search stopped before completion; a checkpoint was written."""
+    """The search stopped before completion; a checkpoint is written when a
+    checkpoint path is given."""
 
     def __init__(self, reason: str, checkpoint_path: str | None, depth: int, frontier: int | None):
         counted = "" if frontier is None else f" (frontier {frontier})"
@@ -491,12 +492,12 @@ def enumerate_stable(
                 if depth < target_depth:
                     frontier = _expand_level(frontier, mode, depth, pool, workers)
                 explored += size
-            # at depth F(N) every fire vector is the closed-form one, checked above, so
-            # the level has exactly one shadow, and that shadow is its own mirror
+            # at depth F(N) the check above has each vertex's fires at most its budget
+            # and summing to F(N), which is what the budgets sum to: so every vertex
+            # has fired exactly its budget.  The fire vector and N fix the shadow, so
+            # the level has one shadow, the stable one (at most 2 chips on a vertex),
+            # and that shadow is its own mirror
             ((shadow, group),) = frontier.items()
-            # raised, not asserted: python -O must not resume a forged frontier
-            if max(shadow) >= 3:
-                raise AssertionError("search ran past the fixed stabilization depth")
         except MemoryError:
             raise pause("out of memory") from None
         except broken:
@@ -677,39 +678,25 @@ def read_corpus(path: str) -> tuple[dict, Iterator[LabeledConfig]]:
     """Open a corpus written by save(): its checked header, and an iterator
     over its configurations as they are read, a batch of lines at a time.
 
-    A faulty header raises here.  The iterator stops before the first bad
-    record or the first configuration whose chips are not 2^ell - 1, and
-    raises after the body, in this order: a wrong count, a wrong checksum,
-    the first bad record, the first wrong number of chips.  So a caller
-    drains it before it trusts what it took from it.
+    A faulty header raises here.  A line is a bad record unless it is a
+    valid configuration of 2^ell - 1 chips, ell being the header's.  The
+    iterator stops before the first bad record, and raises after the body,
+    in this order: a wrong count, a wrong checksum, the first bad record.
+    So a caller drains it before it trusts what it took from it.
     """
 
     def parse(lines: list[bytes]) -> list[LabeledConfig]:
-        return list(map(LabeledConfig.from_json, lines))
+        configs = list(map(LabeledConfig.from_json, lines))
+        for n in set(map(operator.attrgetter("n_chips"), configs)):
+            # bit_length first, so that 2**ell is only computed for a small ell
+            if n.bit_length() != ell or n != 2**ell - 1:
+                raise ValueError(f"{n} chips, not 2^{ell} - 1")
+        return configs
 
     records = _read_records(path, CORPUS_FORMAT, parse, "count", "ell")
     header = next(records)
-    return header, _configs_of(path, header["ell"], records)
-
-
-def _configs_of(
-    path: str, ell: int, records: Iterator[list[LabeledConfig]]
-) -> Iterator[LabeledConfig]:
-    """The configurations of a corpus body's `records`, up to the first whose chips
-    are not 2^ell - 1, which raises once `records` is done."""
-    line, wrong = 2, None
-    for configs in records:
-        if wrong is not None:
-            continue
-        for config in configs:
-            # bit_length first, so that 2**ell is only computed for a small ell
-            if config.n_chips.bit_length() != ell or config.n_chips != 2**ell - 1:
-                wrong = f"{path}: line {line}: {config.n_chips} chips, not 2^{ell} - 1"
-                break
-            yield config
-            line += 1
-    if wrong is not None:
-        raise CorpusError(wrong)
+    ell = header["ell"]  # read by parse, which runs only once the header is out
+    return header, itertools.chain.from_iterable(records)
 
 
 def load(path: str) -> StableSet:

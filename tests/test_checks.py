@@ -23,51 +23,61 @@ BRANCH_NOT_A_TREE = {
 class TestPreconditions:
     def test_rejects_unstable(self):
         with pytest.raises(ValueError):
-            checks.check_anchors(labeled.initial_config(7))
+            checks.check(labeled.initial_config(7), ["anchors"])["anchors"]
 
     def test_rejects_wrong_chip_count(self):
         config = labeled.run_policy(5)
         with pytest.raises(ValueError):
-            checks.check_anchors(config)
+            checks.check(config, ["anchors"])["anchors"]
 
     def test_rejects_partial_layouts(self):
         config = labeled.LabeledConfig(n_chips=3, cells={1: [1, 2], 2: [3]})
         with pytest.raises(ValueError):
-            checks.check_subtree_extremes(config)
+            checks.check(config, ["extremes"])["extremes"]
 
     def test_single_layer_has_no_anchor_check(self):
         config = single_chip_config({1: 1})
         with pytest.raises(ValueError):
-            checks.check_anchors(config)
-        assert checks.check_subtree_extremes(config).passed
-        assert checks.check_zigzag_alternation(config).passed
-        assert checks.check_ballot(config).passed
+            checks.check(config, ["anchors"])["anchors"]
+        assert checks.check(config, ["extremes"])["extremes"].passed
+        assert checks.check(config, ["zigzag"])["zigzag"].passed
+        assert checks.check(config, ["ballot"])["ballot"].passed
 
     @pytest.mark.parametrize("name", checks.CHECKERS)
     def test_zero_chips_are_refused(self, name):
         # 0 = 2^0 - 1 chips on no vertex: zero layers, below every minimum
         with pytest.raises(ValueError, match=f"{name} check needs at least"):
-            checks.CHECKERS[name](labeled.LabeledConfig(n_chips=0, cells={}))
+            checks.check(labeled.LabeledConfig(n_chips=0, cells={}), [name])
+
+    @pytest.mark.parametrize("names", [[], ["zigzag", "anchors"], None])
+    def test_check_runs_the_selected_properties_in_their_order(self, monkeypatch, names):
+        ran = []
+        for name in checks.CHECKERS:
+            checker = lambda labels, ell, name=name: ran.append(name) or checks.CheckReport(name)
+            monkeypatch.setitem(checks.CHECKERS, name, checker)
+        reports = checks.check(single_chip_config(SEVEN), names)
+        assert ran == list(reports) == (list(checks.CHECKERS) if names is None else names)
 
     @pytest.mark.parametrize("name", ["anchors", "penultimate", "forbidden"])
     def test_checkers_refuse_exactly_below_their_minimum(self, name):
         needed = checks.min_layers_for(name)
         with pytest.raises(ValueError, match=f"{name} check needs at least {needed} layers"):
-            checks.CHECKERS[name](labeled.run_policy(2 ** (needed - 1) - 1))
-        assert checks.CHECKERS[name](labeled.run_policy(2**needed - 1)).passed
+            checks.check(labeled.run_policy(2 ** (needed - 1) - 1), [name])
+        assert checks.check(labeled.run_policy(2**needed - 1), [name])[name].passed
 
 
 class TestAnchors:
     def test_pass(self):
-        report = checks.check_anchors(single_chip_config(SEVEN))
+        report = checks.check(single_chip_config(SEVEN), ["anchors"])["anchors"]
         assert report.passed and report.violations == []
 
     def test_two_layers_checks_extreme_chips_only(self):
-        assert checks.check_anchors(single_chip_config({1: 2, 2: 1, 3: 3})).passed
+        config = single_chip_config({1: 2, 2: 1, 3: 3})
+        assert checks.check(config, ["anchors"])["anchors"].passed
 
     def test_swapped_second_chip_fails_at_its_vertex(self):
         swapped = {**SEVEN, 2: 3, 5: 2}
-        report = checks.check_anchors(single_chip_config(swapped))
+        report = checks.check(single_chip_config(swapped), ["anchors"])["anchors"]
         assert not report.passed
         assert report.violations[0].vertex == 2
         assert "chip 2" in report.violations[0].detail
@@ -75,11 +85,11 @@ class TestAnchors:
 
 class TestSubtreeExtremes:
     def test_pass(self):
-        assert checks.check_subtree_extremes(single_chip_config(SEVEN)).passed
+        assert checks.check(single_chip_config(SEVEN), ["extremes"])["extremes"].passed
 
     def test_branch_need_not_mirror_the_tree(self):
         config = single_chip_config(BRANCH_NOT_A_TREE)
-        assert checks.check_subtree_extremes(config).passed
+        assert checks.check(config, ["extremes"])["extremes"].passed
         # the interesting feature: second-largest of the left branch is not
         # at the parent of the branch's largest chip
         assert config.cells[11] == [11]
@@ -87,51 +97,52 @@ class TestSubtreeExtremes:
 
     def test_interior_minimum_fails(self):
         broken = {**BRANCH_NOT_A_TREE, 4: 1, 8: 2}
-        report = checks.check_subtree_extremes(single_chip_config(broken))
+        report = checks.check(single_chip_config(broken), ["extremes"])["extremes"]
         assert not report.passed
         assert any(v.vertex == 4 for v in report.violations)
 
 
 class TestZigzagAlternation:
     def test_pass_three_layers(self):
-        assert checks.check_zigzag_alternation(single_chip_config(SEVEN)).passed
+        assert checks.check(single_chip_config(SEVEN), ["zigzag"])["zigzag"].passed
 
     def test_pass_two_layers(self):
-        assert checks.check_zigzag_alternation(single_chip_config({1: 2, 2: 1, 3: 3})).passed
+        config = single_chip_config({1: 2, 2: 1, 3: 3})
+        assert checks.check(config, ["zigzag"])["zigzag"].passed
 
     def test_violation_reports_the_offending_pair(self):
         broken = {**SEVEN, 1: 2, 2: 4}
-        report = checks.check_zigzag_alternation(single_chip_config(broken))
+        report = checks.check(single_chip_config(broken), ["zigzag"])["zigzag"]
         assert not report.passed
         assert any("chip 2 at 1 > chip 4 at 2" in v.detail for v in report.violations)
 
 
 class TestPenultimate:
     def test_passes_on_valid_configs(self):
-        assert checks.check_penultimate(single_chip_config(SEVEN)).passed
+        assert checks.check(single_chip_config(SEVEN), ["penultimate"])["penultimate"].passed
 
     def test_two_layers_is_trivial(self):
         config = single_chip_config({1: 2, 2: 1, 3: 3})
-        assert checks.check_penultimate(config).passed
+        assert checks.check(config, ["penultimate"])["penultimate"].passed
 
     def test_violation(self):
         broken = single_chip_config({1: 2, 2: 4, 3: 6, 4: 1, 5: 3, 6: 5, 7: 7})
-        report = checks.check_penultimate(broken)
+        report = checks.check(broken, ["penultimate"])["penultimate"]
         assert not report.passed
         assert any(v.vertex == 2 for v in report.violations)
 
 
 class TestBallot:
     def test_pass(self):
-        assert checks.check_ballot(single_chip_config(SEVEN)).passed
+        assert checks.check(single_chip_config(SEVEN), ["ballot"])["ballot"].passed
 
     def test_every_stable_seven_chip_config_passes(self, stable3):
         for config in stable3.configs:
-            assert checks.check_ballot(config).passed
+            assert checks.check(config, ["ballot"])["ballot"].passed
 
     def test_mirrored_labeling_fails(self):
         mirrored = {1: 4, 2: 6, 3: 2, 4: 7, 5: 5, 6: 3, 7: 1}
-        report = checks.check_ballot(single_chip_config(mirrored))
+        report = checks.check(single_chip_config(mirrored), ["ballot"])["ballot"]
         assert not report.passed
         assert report.violations[0].vertex == 1
 
@@ -142,10 +153,10 @@ FORBIDDEN_SEVEN = {1: 4, 2: 3, 3: 5, 4: 1, 5: 6, 6: 2, 7: 7}
 class TestForbiddenOrder:
     def test_all_enumerated_configs_pass(self, stable3):
         for config in stable3.configs:
-            assert checks.check_forbidden_order(config).passed
+            assert checks.check(config, ["forbidden"])["forbidden"].passed
 
     def test_planted_pattern_fails(self):
-        report = checks.check_forbidden_order(single_chip_config(FORBIDDEN_SEVEN))
+        report = checks.check(single_chip_config(FORBIDDEN_SEVEN), ["forbidden"])["forbidden"]
         assert not report.passed
         assert report.violations[0].vertex == 1
 
@@ -156,13 +167,13 @@ class TestForbiddenOrder:
             1: 8, 2: 4, 4: 3, 5: 5, 8: 1, 9: 6, 10: 2, 11: 7,
             3: 11, 6: 10, 7: 13, 12: 9, 13: 12, 14: 14, 15: 15,
         }
-        report = checks.check_forbidden_order(single_chip_config(placement))
+        report = checks.check(single_chip_config(placement), ["forbidden"])["forbidden"]
         assert not report.passed
         assert [v.vertex for v in report.violations] == [2]
 
     def test_needs_three_layers(self):
         with pytest.raises(ValueError):
-            checks.check_forbidden_order(single_chip_config({1: 2, 2: 1, 3: 3}))
+            checks.check(single_chip_config({1: 2, 2: 1, 3: 3}), ["forbidden"])["forbidden"]
 
 
 class TestRelativeOrderKey:
@@ -210,9 +221,9 @@ class TestOnSampledGames:
         for policy in labeled.POLICIES:
             for seed in range(4):
                 config = labeled.run_policy(n_chips, policy, seed=seed)
-                for name, checker in checks.CHECKERS.items():
+                for name in checks.CHECKERS:
                     if ell >= checks.min_layers_for(name):
-                        report = checker(config)
+                        report = checks.check(config, [name])[name]
                         assert report.passed, (n_chips, policy, seed, name, report.violations)
 
 
@@ -241,9 +252,9 @@ def _reports(configs):
     """Each checker's report (or refusal) on each configuration, as JSON lists."""
     results = []
     for config in configs:
-        for name, checker in checks.CHECKERS.items():
+        for name in checks.CHECKERS:
             try:
-                report = checker(config)
+                report = checks.check(config, [name])[name]
             except ValueError as exc:
                 results.append([name, str(exc)])
             else:

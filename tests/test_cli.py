@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import chipfire
-from chipfire import bounds, enumeration, labeled, unlabeled
+from chipfire import bounds, checks, enumeration, labeled, unlabeled
 from chipfire.cli import build_parser, main
 from conftest import mirror_of, shadow_of
 
@@ -370,6 +370,11 @@ class TestBounds:
         code, _ = run_cli(capsys, "bounds")
         assert code == 2
 
+    @pytest.mark.parametrize("table", ["..5", "4..", "x..5", "4..x", "4..5..6", "4.5..6", "4-7"])
+    def test_a_range_that_is_not_two_integers_is_refused(self, capsys, table):
+        assert main(["bounds", "--table", table]) == 2
+        assert capsys.readouterr() == ("", "error: range must look like L1..L2, e.g. 4..7\n")
+
 
 class TestBoundsPastTheDigitLimit:
     """From ell = 11 on, values pass the 4,300-digit int/str limit of Python >= 3.11."""
@@ -422,6 +427,18 @@ class TestEnumerateAndCorpus:
         assert "all pass" in out
         for name in ("anchors", "extremes", "zigzag", "penultimate", "ballot", "forbidden"):
             assert f"{name}: 6/6 pass" in out
+
+    def test_check_reads_each_configuration_once_for_all_properties(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        corpus = str(tmp_path / "z3.jsonl")
+        run_cli(capsys, "enumerate", "--ell", "3", "--out", corpus)
+        read = []
+        labels = checks._labels
+        monkeypatch.setattr(checks, "_labels", lambda config: read.append(config) or labels(config))
+        code, out = run_cli(capsys, "check", "--input", corpus, "--property", "all")
+        assert code == 0 and out.endswith("all pass\n")
+        assert len(read) == 6  # six configurations, each read once for six properties
 
     def test_extract_orders(self, capsys, tmp_path):
         corpus = str(tmp_path / "z3.jsonl")
@@ -584,7 +601,7 @@ class TestEnumerateAndCorpus:
             "checksum": f"{corpus}: checksum mismatch",
             "count": f"{corpus}: header count 3 != body line count 2",
             "record": f"{corpus}: line 4: bad record: Expecting value: line 1 column 1 (char 0)",
-            "chips": f"{corpus}: line 4: 1 chips, not 2^2 - 1",
+            "chips": f"{corpus}: line 4: bad record: 1 chips, not 2^2 - 1",
         }[file_fault]
         assert main([*argv, "--input", corpus]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
@@ -605,6 +622,15 @@ class TestEnumerateAndCorpus:
         code, out = run_cli(capsys, "enumerate", "--ell", "3", "--resume", ckpt)
         assert code == 0
         assert "Z_3 = 6" in out
+
+    def test_a_pause_without_a_checkpoint_path_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["enumerate", "--ell", "2", "--max-frontier", "-1"]) == 4
+        assert capsys.readouterr() == (
+            "",
+            "paused: enumeration paused at depth 0 (frontier 1): frontier size limit exceeded\n",
+        )
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_resume_without_max_frontier_counts_the_resumed_level(self, capsys, tmp_path):
         # the pause is at depth 2, whose 36 states (20 lines) are the largest level

@@ -640,7 +640,22 @@ class TestPersistence:
         head, body = Path(path).read_bytes().split(b"\n", 1)
         header = {**json.loads(head), "ell": ell}
         Path(path).write_bytes(json.dumps(header).encode() + b"\n" + body)
-        with pytest.raises(enumeration.CorpusError, match=f"line 2: 7 chips, not 2\\^{ell} - 1"):
+        message = f"line 2: bad record: 7 chips, not 2\\^{ell} - 1"
+        with pytest.raises(enumeration.CorpusError, match=message):
+            enumeration.load(path)
+
+    def test_a_wrong_chip_count_is_a_bad_record_in_file_order(self, stable3, tmp_path):
+        # one batch holds both lines; the malformed one fails the batch's parse first
+        path = str(tmp_path / "z3.jsonl")
+        enumeration.save(stable3, path)
+        lines = Path(path).read_text().splitlines()
+        lines[1:3] = ['{"n_chips":1,"cells":[{"v":1,"chips":[1]}]}', "not a record"]
+        body = "".join(line + "\n" for line in lines[1:])
+        header = {**json.loads(lines[0]), "sha256": hashlib.sha256(body.encode()).hexdigest()}
+        Path(path).write_text(json.dumps(header) + "\n" + body)
+        with pytest.raises(
+            enumeration.CorpusError, match="line 2: bad record: 1 chips, not 2\\^3 - 1$"
+        ):
             enumeration.load(path)
 
     @pytest.mark.parametrize("n_chips", [10**20, 8, "7", True])
@@ -1064,8 +1079,8 @@ class TestFourLayersFull:
         assert hashlib.sha256(body).hexdigest() == FOUR_LAYER_BODY_SHA256
         assert len(enumeration.extract_subtree_orders(result.configs, result.ell, 3)) == 10
         for config in result.configs:
-            for name, checker in checks.CHECKERS.items():
-                assert checker(config).passed, name
+            for name, report in checks.check(config).items():
+                assert report.passed, name
 
     def test_scheduled_mode_undercounts(self, tmp_path):
         # the fixed-vertex-order heuristic misses configurations from 4
